@@ -8,6 +8,7 @@ import (
 	"spnet/internal/metrics"
 	"spnet/internal/network"
 	"spnet/internal/routing"
+	"spnet/internal/topology"
 )
 
 // Result holds the evaluation of one network instance: per-node expected
@@ -99,13 +100,11 @@ type evaluator struct {
 }
 
 // bfsScratch holds one evaluation's BFS working set. Pooled invariant: when a
-// scratch is returned to the pool, every depth/parent entry is -1, every
-// flowBuf entry is the zero flow, and order is empty — the same state the
+// scratch is returned to the pool, tree is Reset (every depth/parent entry
+// -1, order empty) and every flowBuf entry is the zero flow — the state the
 // per-source reset loop in evalGraphQueries restores.
 type bfsScratch struct {
-	depth   []int32
-	parent  []int32
-	order   []int32
+	tree    topology.BFSResult
 	flowBuf []flow
 	// prob[v] is the probability a strategy-routed query reaches v; frac[v]
 	// is the per-eligible-edge forwarding fraction at v. Pool invariant:
@@ -120,25 +119,18 @@ var scratchPool = sync.Pool{New: func() any { return &bfsScratch{} }}
 // invariant for the entries in use.
 func getScratch(n int) *bfsScratch {
 	s := scratchPool.Get().(*bfsScratch)
-	if cap(s.depth) < n {
-		s.depth = make([]int32, n)
-		s.parent = make([]int32, n)
+	if cap(s.flowBuf) < n {
+		s.tree = *topology.NewBFSResult(n)
 		s.flowBuf = make([]flow, n)
 		s.prob = make([]float64, n)
 		s.frac = make([]float64, n)
-		s.order = make([]int32, 0, n)
-		for i := range s.depth {
-			s.depth[i] = -1
-			s.parent[i] = -1
-		}
 		return s
 	}
-	s.depth = s.depth[:n]
-	s.parent = s.parent[:n]
+	s.tree.Depth = s.tree.Depth[:n]
+	s.tree.Parent = s.tree.Parent[:n]
 	s.flowBuf = s.flowBuf[:n]
 	s.prob = s.prob[:n]
 	s.frac = s.frac[:n]
-	s.order = s.order[:0]
 	return s
 }
 
@@ -251,6 +243,10 @@ func (e *evaluator) evalGraphQueries() {
 	n := g.N()
 	ttl := e.inst.Config.TTL
 	e.scratch = getScratch(n)
+	t := &e.scratch.tree
+	// Explicit overlays are walked straight over their CSR neighbor lists;
+	// only the implicit Clique needs the VisitNeighbors callback.
+	adj, _ := g.(*topology.AdjGraph)
 
 	sp := e.res.spShared
 	cls := e.res.spSharedCls
@@ -261,7 +257,7 @@ func (e *evaluator) evalGraphQueries() {
 			// would also be unweighted, so skip entirely.
 			continue
 		}
-		e.bfs(s, ttl)
+		t.Run(g, s, ttl, 0)
 		useFw := e.fw != nil || e.honest < 1
 		if useFw {
 			e.computeReachProbs(s, ttl)
@@ -274,9 +270,9 @@ func (e *evaluator) evalGraphQueries() {
 		// carries the expected copy count prob[u]·frac[u] instead of a full
 		// copy; the flood path performs no extra multiplications so its
 		// float sequence is unchanged.
-		for _, u32 := range e.scratch.order {
+		for _, u32 := range t.Order {
 			u := int(u32)
-			if int(e.scratch.depth[u]) >= ttl {
+			if int(t.Depth[u]) >= ttl {
 				continue // nodes at the TTL horizon do not forward
 			}
 			wf := w
@@ -286,28 +282,26 @@ func (e *evaluator) evalGraphQueries() {
 					continue
 				}
 			}
-			par := e.scratch.parent[u]
-			g.VisitNeighbors(u, func(nb int) bool {
-				if int32(nb) == par && u != s {
+			par := t.Parent[u]
+			if adj == nil {
+				g.VisitNeighbors(u, func(nb int) bool {
+					if int32(nb) != par || u == s {
+						e.forwardCopy(u, nb, wf)
+					}
 					return true
+				})
+				continue
+			}
+			for _, nb := range adj.Neighbors(u) {
+				if nb != par || u == s {
+					e.forwardCopy(u, int(nb), wf)
 				}
-				sp[u].outBytes += wf * e.qBytes
-				sp[u].procU += wf * e.sendQProc
-				sp[u].msgs += wf
-				cls[u].Add(metrics.ClassQuery, metrics.DirOut, wf*e.qBytes)
-				sp[nb].inBytes += wf * e.qBytes
-				sp[nb].procU += wf * e.recvQProc
-				sp[nb].msgs += wf
-				cls[nb].Add(metrics.ClassQuery, metrics.DirIn, wf*e.qBytes)
-				e.res.bd.queryTransfer(wf, e.qBytes, e.sendQProc, e.recvQProc)
-				e.fwdNum += wf
-				return true
-			})
+			}
 		}
 
 		// Every reached cluster processes the query over its index once
 		// (under a strategy model: with the probability it is reached).
-		for _, v32 := range e.scratch.order {
+		for _, v32 := range t.Order {
 			v := int(v32)
 			wp := w
 			if useFw {
@@ -337,13 +331,13 @@ func (e *evaluator) evalGraphQueries() {
 		// Responses travel up the BFS predecessor tree; iterating the BFS
 		// order backwards visits children before parents, so each node's
 		// flow is complete when it is charged.
-		for i := len(e.scratch.order) - 1; i >= 1; i-- {
-			v := int(e.scratch.order[i])
+		for i := len(t.Order) - 1; i >= 1; i-- {
+			v := int(t.Order[i])
 			f := e.scratch.flowBuf[v]
 			if f.isZero() {
 				continue
 			}
-			p := int(e.scratch.parent[v])
+			p := int(t.Parent[v])
 			b := respBytes(f)
 			sp[v].outBytes += w * b
 			sp[v].procU += w * sendRespProc(f)
@@ -356,7 +350,7 @@ func (e *evaluator) evalGraphQueries() {
 			e.res.bd.respTransfer(w, b, sendRespProc(f), recvRespProc(f))
 			e.scratch.flowBuf[p].add(f)
 		}
-		total := e.scratch.flowBuf[int(e.scratch.order[0])] // source: own + all relayed flows
+		total := e.scratch.flowBuf[int(t.Order[0])] // source: own + all relayed flows
 		e.res.respToSource[s] = total
 
 		// Traversal metrics.
@@ -364,46 +358,62 @@ func (e *evaluator) evalGraphQueries() {
 		e.resultsDen += w
 		if useFw {
 			var clustersReached, peers float64
-			for _, v32 := range e.scratch.order {
+			for _, v32 := range t.Order {
 				p := e.scratch.prob[v32]
 				clustersReached += p
 				peers += p * e.users[v32]
 			}
 			e.reachClustersNum += w * clustersReached
 			e.reachPeersNum += w * peers
-			for _, v32 := range e.scratch.order[1:] {
+			for _, v32 := range t.Order[1:] {
 				v := int(v32)
 				m := e.scratch.prob[v] * e.honest * e.own[v].msgs
-				e.eplNum += w * float64(e.scratch.depth[v]) * m
+				e.eplNum += w * float64(t.Depth[v]) * m
 				e.eplDen += w * m
 			}
 		} else {
-			e.reachClustersNum += w * float64(len(e.scratch.order))
+			e.reachClustersNum += w * float64(len(t.Order))
 			var peers float64
-			for _, v32 := range e.scratch.order {
+			for _, v32 := range t.Order {
 				peers += e.users[v32]
 			}
 			e.reachPeersNum += w * peers
-			for _, v32 := range e.scratch.order[1:] {
+			for _, v32 := range t.Order[1:] {
 				v := int(v32)
-				e.eplNum += w * float64(e.scratch.depth[v]) * e.own[v].msgs
+				e.eplNum += w * float64(t.Depth[v]) * e.own[v].msgs
 				e.eplDen += w * e.own[v].msgs
 			}
 		}
 
-		// Reset the touched buffers for the next source.
-		for _, v32 := range e.scratch.order {
-			e.scratch.depth[v32] = -1
-			e.scratch.parent[v32] = -1
+		// Reset the touched buffers for the next source; the next Run
+		// resets the tree itself.
+		for _, v32 := range t.Order {
 			e.scratch.flowBuf[v32] = flow{}
 			e.scratch.prob[v32] = 0
 			e.scratch.frac[v32] = 0
 		}
 	}
-	// The per-source resets restored the pool invariant; return the lease.
-	e.scratch.order = e.scratch.order[:0]
+	// Restore the pool invariant and return the lease.
+	t.Reset()
 	scratchPool.Put(e.scratch)
 	e.scratch = nil
+}
+
+// forwardCopy charges wf expected query copies sent over the edge u → nb:
+// u's send, nb's receive (a redundant copy is received, then dropped).
+func (e *evaluator) forwardCopy(u, nb int, wf float64) {
+	sp := e.res.spShared
+	cls := e.res.spSharedCls
+	sp[u].outBytes += wf * e.qBytes
+	sp[u].procU += wf * e.sendQProc
+	sp[u].msgs += wf
+	cls[u].Add(metrics.ClassQuery, metrics.DirOut, wf*e.qBytes)
+	sp[nb].inBytes += wf * e.qBytes
+	sp[nb].procU += wf * e.recvQProc
+	sp[nb].msgs += wf
+	cls[nb].Add(metrics.ClassQuery, metrics.DirIn, wf*e.qBytes)
+	e.res.bd.queryTransfer(wf, e.qBytes, e.sendQProc, e.recvQProc)
+	e.fwdNum += wf
 }
 
 // computeReachProbs fills the scratch prob/frac buffers for one source under
@@ -415,16 +425,17 @@ func (e *evaluator) evalGraphQueries() {
 // order visits parents first, so one pass suffices.
 func (e *evaluator) computeReachProbs(s, ttl int) {
 	g := e.inst.Graph
+	t := &e.scratch.tree
 	pr, fr := e.scratch.prob, e.scratch.frac
-	for _, u32 := range e.scratch.order {
+	for _, u32 := range t.Order {
 		u := int(u32)
 		if u == s {
 			pr[u] = 1
 		} else {
-			p := int(e.scratch.parent[u])
+			p := int(t.Parent[u])
 			pr[u] = pr[p] * fr[p]
 		}
-		if int(e.scratch.depth[u]) >= ttl {
+		if int(t.Depth[u]) >= ttl {
 			continue // horizon nodes forward nothing: frac stays 0
 		}
 		eligible := g.Degree(u)
@@ -456,35 +467,6 @@ func (e *evaluator) computeReachProbs(s, ttl int) {
 			f *= e.honest
 		}
 		fr[u] = f
-	}
-}
-
-// bfs fills the evaluator's reusable depth/parent/order buffers.
-func (e *evaluator) bfs(source, ttl int) {
-	e.scratch.order = e.scratch.order[:0]
-	e.scratch.depth[source] = 0
-	e.scratch.parent[source] = -1
-	e.scratch.order = append(e.scratch.order, int32(source))
-	if ttl == 0 {
-		return
-	}
-	g := e.inst.Graph
-	head := 0
-	for head < len(e.scratch.order) {
-		u := int(e.scratch.order[head])
-		head++
-		d := e.scratch.depth[u]
-		if int(d) >= ttl {
-			break // BFS order is depth-monotone; nothing shallower remains
-		}
-		g.VisitNeighbors(u, func(nb int) bool {
-			if e.scratch.depth[nb] == -1 {
-				e.scratch.depth[nb] = d + 1
-				e.scratch.parent[nb] = int32(u)
-				e.scratch.order = append(e.scratch.order, int32(nb))
-			}
-			return true
-		})
 	}
 }
 

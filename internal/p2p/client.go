@@ -617,8 +617,14 @@ func (cl *Client) failover() error {
 			return errClientClosed
 		}
 		join := cl.joinMsg()
+		// Count the failover before the join can land: once the super-peer
+		// has indexed the files, Reconnects must already include it.
+		cl.reconnects++
 		cl.mu.Unlock()
 		if err := cl.writeMsg(c, join); err != nil {
+			cl.mu.Lock()
+			cl.reconnects--
+			cl.mu.Unlock()
 			c.Close()
 			lastErr = err
 			cl.opts.OnEvent(Event{Type: EventDialFailed, Addr: addr, Attempt: attempt, Err: err})
@@ -629,7 +635,6 @@ func (cl *Client) failover() error {
 		cl.c, cl.br = c, br
 		cl.addrIdx = next
 		cl.broken = false
-		cl.reconnects++
 		cl.mu.Unlock()
 		cl.opts.Logf("p2p: reconnected to super-peer %s (attempt %d)", addr, attempt)
 		cl.opts.OnEvent(Event{Type: EventReconnected, Addr: addr, Attempt: attempt})

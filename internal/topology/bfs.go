@@ -29,51 +29,95 @@ func (r *BFSResult) MaxDepth() int {
 	return int(r.Depth[r.Order[len(r.Order)-1]])
 }
 
-// BFS performs a breadth-first traversal from source, visiting nodes at hop
-// distance <= ttl. A ttl < 0 means unlimited. When maxNodes > 0 the
-// traversal stops after reaching that many nodes (used for Figure 9's
-// fixed-reach EPL measurements); 0 means unbounded.
-func BFS(g Graph, source, ttl, maxNodes int) *BFSResult {
-	n := g.N()
-	res := &BFSResult{
-		Source: source,
+// NewBFSResult returns traversal scratch for graphs of up to n nodes, every
+// node unreached. Run fills it; reusing one BFSResult across runs makes the
+// traversal allocation-free once Order has grown to the largest reach.
+func NewBFSResult(n int) *BFSResult {
+	r := &BFSResult{
 		Depth:  make([]int32, n),
 		Parent: make([]int32, n),
+		Order:  make([]int32, 0, n),
 	}
-	for i := range res.Depth {
-		res.Depth[i] = -1
-		res.Parent[i] = -1
+	for i := range r.Depth {
+		r.Depth[i] = -1
+		r.Parent[i] = -1
 	}
-	res.Depth[source] = 0
-	res.Order = append(res.Order, int32(source))
-	if (maxNodes > 0 && len(res.Order) >= maxNodes) || ttl == 0 {
-		return res
+	return r
+}
+
+// Reset returns r to the all-unreached state, touching only the nodes the
+// previous run reached.
+func (r *BFSResult) Reset() {
+	for _, v := range r.Order {
+		r.Depth[v] = -1
+		r.Parent[v] = -1
 	}
-	frontier := []int32{int32(source)}
-	for depth := 1; len(frontier) > 0 && (ttl < 0 || depth <= ttl); depth++ {
-		var next []int32
-		for _, v := range frontier {
-			stop := false
-			g.VisitNeighbors(int(v), func(w int) bool {
-				if res.Depth[w] == -1 {
-					res.Depth[w] = int32(depth)
-					res.Parent[w] = v
-					res.Order = append(res.Order, int32(w))
-					next = append(next, int32(w))
-					if maxNodes > 0 && len(res.Order) >= maxNodes {
-						stop = true
-						return false
-					}
-				}
-				return true
-			})
-			if stop {
-				return res
+	r.Order = r.Order[:0]
+}
+
+// Run replaces r's contents with a breadth-first traversal of g from
+// source, visiting nodes at hop distance <= ttl. A ttl < 0 means unlimited.
+// When maxNodes > 0 the traversal stops after reaching that many nodes (used
+// for Figure 9's fixed-reach EPL measurements); 0 means unbounded. r must
+// hold at least g.N() nodes. Neighbors are taken in adjacency order, so an
+// *AdjGraph is walked straight over its CSR lists; other graphs (the
+// implicit Clique) go through VisitNeighbors.
+func (r *BFSResult) Run(g Graph, source, ttl, maxNodes int) {
+	r.Reset()
+	r.Source = source
+	r.Depth[source] = 0
+	r.Order = append(r.Order, int32(source))
+	if maxNodes > 0 && len(r.Order) >= maxNodes {
+		return
+	}
+	adj, _ := g.(*AdjGraph)
+	for head := 0; head < len(r.Order); head++ {
+		u := r.Order[head]
+		d := r.Depth[u]
+		if ttl >= 0 && int(d) >= ttl {
+			return // BFS order is depth-monotone; nothing shallower remains
+		}
+		if adj == nil {
+			if r.visitAll(g, u, d+1, maxNodes) {
+				return
+			}
+			continue
+		}
+		for _, w := range adj.Neighbors(int(u)) {
+			if r.reach(w, u, d+1, maxNodes) {
+				return
 			}
 		}
-		frontier = next
 	}
-	return res
+}
+
+// reach records w as reached at depth d through u if it is new, and reports
+// whether the traversal has hit its maxNodes bound.
+func (r *BFSResult) reach(w, u, d int32, maxNodes int) (full bool) {
+	if r.Depth[w] != -1 {
+		return false
+	}
+	r.Depth[w] = d
+	r.Parent[w] = u
+	r.Order = append(r.Order, w)
+	return maxNodes > 0 && len(r.Order) >= maxNodes
+}
+
+// visitAll is Run's fallback for graphs without an explicit adjacency list.
+func (r *BFSResult) visitAll(g Graph, u, d int32, maxNodes int) (full bool) {
+	g.VisitNeighbors(int(u), func(w int) bool {
+		full = r.reach(int32(w), u, d, maxNodes)
+		return !full
+	})
+	return full
+}
+
+// BFS performs a breadth-first traversal from source into fresh scratch; see
+// Run for the ttl and maxNodes semantics.
+func BFS(g Graph, source, ttl, maxNodes int) *BFSResult {
+	r := NewBFSResult(g.N())
+	r.Run(g, source, ttl, maxNodes)
+	return r
 }
 
 // ReachForTTL returns the number of nodes a query from source reaches at the

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -238,4 +239,78 @@ func TestEPLApproxDegenerate(t *testing.T) {
 	if !math.IsNaN(EPLApprox(5, 1)) {
 		t.Error("reach 1 should be NaN")
 	}
+}
+
+// interfaceOnly hides a graph's concrete type, forcing Run's VisitNeighbors
+// fallback.
+type interfaceOnly struct{ Graph }
+
+// TestRunReuseMatchesFreshBFS drives one scratch through every source with
+// mixed TTL and maxNodes bounds, over both the CSR path and the
+// VisitNeighbors fallback: each run must equal a traversal into fresh
+// scratch, so Reset leaves nothing behind.
+func TestRunReuseMatchesFreshBFS(t *testing.T) {
+	g, err := PowerLaw(PLODParams{N: 300, AvgDeg: 3.1}, stats.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := [][2]int{{7, 0}, {2, 0}, {-1, 0}, {-1, 40}, {0, 0}, {3, 1}}
+	csr, fallback := NewBFSResult(g.N()), NewBFSResult(g.N())
+	for src := 0; src < g.N(); src++ {
+		ttl, maxNodes := bounds[src%len(bounds)][0], bounds[src%len(bounds)][1]
+		want := BFS(g, src, ttl, maxNodes)
+		csr.Run(g, src, ttl, maxNodes)
+		fallback.Run(interfaceOnly{g}, src, ttl, maxNodes)
+		for name, got := range map[string]*BFSResult{"csr": csr, "fallback": fallback} {
+			if got.Source != src || !slices.Equal(got.Order, want.Order) ||
+				!slices.Equal(got.Depth, want.Depth) || !slices.Equal(got.Parent, want.Parent) {
+				t.Fatalf("%s run from %d (ttl %d, max %d) differs from a fresh BFS", name, src, ttl, maxNodes)
+			}
+		}
+	}
+}
+
+// TestRunAllocFree: once its scratch is warm, the kernel allocates nothing
+// on a CSR graph.
+func TestRunAllocFree(t *testing.T) {
+	g, err := PowerLaw(PLODParams{N: 1000, AvgDeg: 3.1}, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewBFSResult(g.N())
+	r.Run(g, 0, 7, 0)
+	if allocs := testing.AllocsPerRun(10, func() {
+		for v := 0; v < g.N(); v++ {
+			r.Run(g, v, 7, 0)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm Run allocates %.1f per sweep, want 0", allocs)
+	}
+}
+
+// BenchmarkBFS measures the analysis traversal: one TTL-7 BFS from every
+// source of a 1000-node PLOD graph (the Table 1 overlay), into fresh
+// scratch (BFS) and into one reused scratch (Run).
+func BenchmarkBFS(b *testing.B) {
+	g, err := PowerLaw(PLODParams{N: 1000, AvgDeg: 3.1}, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("BFS", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for v := 0; v < g.N(); v++ {
+				BFS(g, v, 7, 0)
+			}
+		}
+	})
+	b.Run("Run", func(b *testing.B) {
+		r := NewBFSResult(g.N())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for v := 0; v < g.N(); v++ {
+				r.Run(g, v, 7, 0)
+			}
+		}
+	})
 }

@@ -10,7 +10,8 @@ import "fmt"
 
 // Graph is an undirected overlay over nodes 0..N()-1. Neighbors of a node
 // are visited through VisitNeighbors so that cliques need not materialize
-// O(n²) edges.
+// O(n²) edges. Hot loops type-assert *AdjGraph and range over Neighbors
+// instead: the callback escapes through the interface and allocates.
 type Graph interface {
 	// N returns the number of nodes.
 	N() int
