@@ -104,20 +104,6 @@ func (lp *LiveParams) setDefaults() {
 	}
 }
 
-// wall converts virtual seconds to wall-clock duration under the bridge.
-func (lp *LiveParams) wall(virtual float64) time.Duration {
-	return time.Duration(virtual / lp.TimeScale * float64(time.Second))
-}
-
-// wallClamped is wall with a floor, for knobs (heartbeats, backoff) that
-// stop making sense below scheduler granularity.
-func (lp *LiveParams) wallClamped(virtual float64, floor time.Duration) time.Duration {
-	if d := lp.wall(virtual); d > floor {
-		return d
-	}
-	return floor
-}
-
 // liveArrivals draws one client's query arrival times in virtual seconds: a
 // Poisson process at rate queries/virtual-second out to duration. The stream
 // is split per (cluster, client) slot, so the full arrival plan is
@@ -162,12 +148,13 @@ type liveClient struct {
 // runLiveCell replays one failure regime at one redundancy level against a
 // real network and measures it.
 func runLiveCell(lp *LiveParams, reg LiveRegime, k int, cellSeed uint64) (res liveCellResult, err error) {
+	bridge := timeBridge(lp.TimeScale)
 	live := network.NewLive(network.LiveConfig{
 		Clusters: lp.Clusters,
 		Partners: k,
 		Seed:     cellSeed,
 		Node: p2p.Options{
-			HeartbeatInterval: lp.wallClamped(30, 100*time.Millisecond),
+			HeartbeatInterval: bridge.wallClamped(30, 100*time.Millisecond),
 			DrainTimeout:      200 * time.Millisecond,
 		},
 	})
@@ -194,11 +181,11 @@ func runLiveCell(lp *LiveParams, reg LiveRegime, k int, cellSeed uint64) (res li
 			opts := p2p.DialOptions{
 				Addrs:             live.ClusterAddrs(c),
 				Seed:              cellSeed + uint64(c*lp.ClientsPerCluster+i),
-				HeartbeatInterval: lp.wallClamped(5, 20*time.Millisecond),
+				HeartbeatInterval: bridge.wallClamped(5, 20*time.Millisecond),
 				MaxAttempts:       2 * k, // one quick lap of the ranked list; the watchdog retries
 				Backoff: p2p.Backoff{
-					Initial: lp.wallClamped(1, 5*time.Millisecond),
-					Max:     lp.wallClamped(10, 25*time.Millisecond),
+					Initial: bridge.wallClamped(1, 5*time.Millisecond),
+					Max:     bridge.wallClamped(10, 25*time.Millisecond),
 				},
 				OnEvent: func(ev p2p.Event) {
 					lc.mu.Lock()
@@ -223,106 +210,67 @@ func runLiveCell(lp *LiveParams, reg LiveRegime, k int, cellSeed uint64) (res li
 	}
 
 	// The failure timeline: the same exponential per-partner failure process
-	// the simulator injects, drawn in virtual seconds and replayed at
-	// wall-clock times through the bridge. Kills and their recoveries merge
-	// into one ordered timeline.
+	// the simulator injects, drawn in virtual seconds. Kills and their
+	// recoveries merge into one ordered timeline.
 	sched := faults.ExponentialSchedule(cellSeed+500, lp.Clusters, k, reg.MTBF, lp.Duration).Truncate(lp.Duration)
 	type liveEvent struct {
-		atWall  time.Duration
+		at      float64
 		kill    bool
 		cluster int
 		partner int
 	}
 	var timeline []liveEvent
 	for _, ev := range sched {
-		timeline = append(timeline, liveEvent{lp.wall(ev.At), true, ev.Cluster, ev.Partner})
+		timeline = append(timeline, liveEvent{ev.At, true, ev.Cluster, ev.Partner})
 		if back := ev.At + reg.Recovery; back < lp.Duration {
-			timeline = append(timeline, liveEvent{lp.wall(back), false, ev.Cluster, ev.Partner})
+			timeline = append(timeline, liveEvent{back, false, ev.Cluster, ev.Partner})
 		}
 	}
-	sort.SliceStable(timeline, func(i, j int) bool { return timeline[i].atWall < timeline[j].atWall })
+	sort.SliceStable(timeline, func(i, j int) bool { return timeline[i].at < timeline[j].at })
+	ats := make([]float64, len(timeline))
+	for i, ev := range timeline {
+		ats[i] = ev.at
+	}
 
-	start := time.Now()
-	stopc := make(chan struct{})
-	var kills int
-	var killMu sync.Mutex
-	var driverWG sync.WaitGroup
-	driverWG.Add(1)
-	go func() {
-		defer driverWG.Done()
-		for _, ev := range timeline {
-			wait := time.Until(start.Add(ev.atWall))
-			if wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-stopc:
-					return
-				}
+	run := newScheduler(bridge)
+	run.faults(ats, func(i int) {
+		ev := timeline[i]
+		if ev.kill {
+			if err := live.KillSuperPeer(ev.cluster, ev.partner); err == nil {
+				res.failures++
 			}
-			if ev.kill {
-				if err := live.KillSuperPeer(ev.cluster, ev.partner); err == nil {
-					killMu.Lock()
-					kills++
-					killMu.Unlock()
-				}
-			} else {
-				// "Still running" / double-restart races are benign: the
-				// schedule may re-kill a partner inside its own recovery
-				// window.
-				if err := live.RestartSuperPeer(ev.cluster, ev.partner); err != nil {
-					lp.Logf("live: restart sp %d/%d: %v", ev.cluster, ev.partner, err)
-				}
-			}
+		} else if err := live.RestartSuperPeer(ev.cluster, ev.partner); err != nil {
+			// "Still running" / double-restart races are benign: the
+			// schedule may re-kill a partner inside its own recovery
+			// window.
+			lp.Logf("live: restart sp %d/%d: %v", ev.cluster, ev.partner, err)
 		}
-	}()
+	})
 
-	// Query generators: one per client, firing at the precomputed arrivals.
+	// Query workload: one stream per client, firing at the precomputed
+	// arrivals (late queries just fire late).
 	type tally struct {
 		issued, lost, degraded, busy, results int
 	}
 	tallies := make([]tally, len(clients))
-	var genWG sync.WaitGroup
 	for ci, lc := range clients {
-		genWG.Add(1)
-		go func(ci int, lc *liveClient) {
-			defer genWG.Done()
-			tl := &tallies[ci]
-			for _, at := range lc.arrivals {
-				if wait := time.Until(start.Add(lp.wall(at))); wait > 0 {
-					select {
-					case <-time.After(wait):
-					case <-stopc:
-						return
-					}
-				}
-				out, err := lc.cl.SearchDetailed("needle", lp.QueryWindow)
-				tl.issued++
-				if err != nil {
-					tl.lost++
-					continue
-				}
-				tl.results += len(out.Results)
-				tl.busy += out.Busy
-				if len(out.Results) < healthy {
-					tl.degraded++
-				}
+		tl := &tallies[ci]
+		run.arrivals(lc.arrivals, func(int) {
+			out, err := lc.cl.SearchDetailed("needle", lp.QueryWindow)
+			tl.issued++
+			if err != nil {
+				tl.lost++
+				return
 			}
-		}(ci, lc)
+			tl.results += len(out.Results)
+			tl.busy += out.Busy
+			if len(out.Results) < healthy {
+				tl.degraded++
+			}
+		})
 	}
+	run.finish(lp.Duration)
 
-	// Let the cell play out: generators finish their arrival plans (late
-	// queries just fire late), then the fault driver is released.
-	genWG.Wait()
-	endWait := time.Until(start.Add(lp.wall(lp.Duration)))
-	if endWait > 0 {
-		time.Sleep(endWait)
-	}
-	close(stopc)
-	driverWG.Wait()
-
-	killMu.Lock()
-	res.failures = kills
-	killMu.Unlock()
 	for i := range tallies {
 		res.issued += tallies[i].issued
 		res.lost += tallies[i].lost
@@ -342,7 +290,7 @@ func runLiveCell(lp *LiveParams, reg LiveRegime, k int, cellSeed uint64) (res li
 			if ri >= len(lc.rejoinAt) {
 				break
 			}
-			res.recoverySum += lc.rejoinAt[ri].Sub(lost).Seconds() * lp.TimeScale
+			res.recoverySum += bridge.virtual(lc.rejoinAt[ri].Sub(lost))
 			res.recoveryN++
 			ri++
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"spnet/internal/analysis"
@@ -13,7 +12,6 @@ import (
 	"spnet/internal/p2p"
 	"spnet/internal/sim"
 	"spnet/internal/topology"
-	"spnet/internal/workload"
 )
 
 // loadProbeTerm is the common query term of the validation workload; every
@@ -29,16 +27,14 @@ const loadProbeTerm = "needle"
 // The configuration is chosen so all three layers describe the same system
 // exactly: k = 1 (the live flood sends to every partner of every neighbor,
 // which equals the model only when each neighbor has one partner), a clique
-// overlay (Clusters super-peers fully linked — the 3-cluster ring the live
-// harness wires is the K3 clique), a single query class matching every
-// collection with probability 1, updates disabled, and effectively infinite
-// lifespans so the one-shot live joins mirror the model's zero join rate.
+// overlay (Clusters super-peers fully linked, wired live from the instance's
+// own graph), a single query class matching every collection with
+// probability 1, updates disabled, and effectively infinite lifespans so the
+// one-shot live joins mirror the model's zero join rate.
 // Query and response traffic — the paper's dominant Table 2 components — are
 // the classes compared.
 type LoadValidationParams struct {
-	// Clusters is the number of single-partner super-peers (default 3;
-	// the live harness ring equals a clique only for 3, so larger values
-	// also switch the analytical overlay accordingly — keep 3).
+	// Clusters is the number of single-partner super-peers (default 3).
 	Clusters int
 	// ClientsPerCluster is how many clients join each super-peer, each
 	// sharing one matching file (default 3).
@@ -98,53 +94,19 @@ func (p *LoadValidationParams) setDefaults() {
 	}
 }
 
-func (p *LoadValidationParams) wall(virtual float64) time.Duration {
-	return time.Duration(virtual / p.TimeScale * float64(time.Second))
-}
-
-// loadValidationInstance hand-builds the exactly-known network instance the
-// analytical and simulated columns evaluate: every cluster has one partner
-// with no files and ClientsPerCluster clients with one matching file each,
-// the single query class matches every file, and churn rates are zero.
+// loadValidationInstance plants the exactly-known instance all three layers
+// run: a clique of one-partner clusters whose ClientsPerCluster clients share
+// one matching file each, with a single query class that matches every file.
 func loadValidationInstance(p *LoadValidationParams) (*network.Instance, error) {
-	qm, err := workload.NewQueryModel([]float64{1}, []float64{1})
-	if err != nil {
-		return nil, err
-	}
-	const never = 1e12 // lifespan, seconds: join rate 1/never ~ 0
-	c := p.ClientsPerCluster
-	prof := &workload.Profile{
-		Queries:  qm,
-		Rates:    workload.Rates{QueryRate: p.QueryRate, UpdateRate: 0},
-		QueryLen: len(loadProbeTerm),
-	}
-	clusters := make([]network.Cluster, p.Clusters)
-	for v := range clusters {
-		cl := network.Cluster{
-			Partners:   []network.Peer{{Files: 0, Lifespan: never}},
-			IndexFiles: c,
-			ExpResults: float64(c),
-			ExpAddrs:   float64(c),
-			ProbResp:   1,
-		}
-		for i := 0; i < c; i++ {
-			cl.Clients = append(cl.Clients, network.Peer{Files: 1, Lifespan: never})
-		}
-		clusters[v] = cl
-	}
-	return &network.Instance{
-		Config: network.Config{
-			GraphType:   network.Strong,
-			GraphSize:   p.Clusters * (c + 1),
-			ClusterSize: c + 1,
-			KRedundancy: 1,
-			TTL:         p.TTL,
-		},
-		Profile:  prof,
-		Graph:    topology.NewClique(p.Clusters),
-		Clusters: clusters,
-		NumPeers: p.Clusters * (c + 1),
-	}, nil
+	return plantedInstance(planted{
+		graph:     topology.NewClique(p.Clusters),
+		partners:  1,
+		clients:   p.ClientsPerCluster,
+		topics:    1,
+		queryRate: p.QueryRate,
+		term:      loadProbeTerm,
+		ttl:       p.TTL,
+	})
 }
 
 // LoadValidationRow is one super-peer's three-way bandwidth comparison, all
@@ -227,13 +189,13 @@ func scrapeClassBytes(addr string) (metrics.ByClass, error) {
 	return b, nil
 }
 
-// runLiveLoadCell boots the live network, drives the seeded workload, and
-// returns each super-peer's measured per-class bandwidth in bits per virtual
-// second, keyed in the harness's stable super-peer order.
-func runLiveLoadCell(p *LoadValidationParams) (ids []string, measured []metrics.ByClass, err error) {
+// runLiveLoadCell boots the instance as a live fleet, drives the seeded
+// workload, and returns each super-peer's measured per-class bandwidth in
+// bits per virtual second, keyed in the harness's stable super-peer order.
+func runLiveLoadCell(p *LoadValidationParams, inst *network.Instance) (ids []string, measured []metrics.ByClass, err error) {
 	live := network.NewLive(network.LiveConfig{
-		Clusters:  p.Clusters,
 		Partners:  1,
+		Graph:     inst.Graph,
 		Seed:      p.Seed,
 		Telemetry: true,
 		Node: p2p.Options{
@@ -246,9 +208,12 @@ func runLiveLoadCell(p *LoadValidationParams) (ids []string, measured []metrics.
 		return nil, nil, err
 	}
 	defer live.Close()
+	if err := awaitWired(live, inst.Graph, 1); err != nil {
+		return nil, nil, fmt.Errorf("loadvalidation: %w", err)
+	}
 
 	// Clients: each shares one file matching the probe term, mirroring the
-	// hand-built instance's one-file collections.
+	// planted instance's one-file collections.
 	var clients []*p2p.Client
 	defer func() {
 		for _, cl := range clients {
@@ -266,8 +231,9 @@ func runLiveLoadCell(p *LoadValidationParams) (ids []string, measured []metrics.
 			clients = append(clients, cl)
 		}
 	}
-	// Let joins finish indexing before the baseline scrape.
-	time.Sleep(150 * time.Millisecond)
+	if err := awaitIndexed(live, p.Clusters*p.ClientsPerCluster); err != nil {
+		return nil, nil, fmt.Errorf("loadvalidation: %w", err)
+	}
 
 	sps := live.SuperPeers()
 	base := make([]metrics.ByClass, len(sps))
@@ -282,38 +248,29 @@ func runLiveLoadCell(p *LoadValidationParams) (ids []string, measured []metrics.
 	// Arrival plans are drawn per user slot in virtual seconds, so the full
 	// schedule is deterministic in the seed.
 	usersPer := p.ClientsPerCluster + 1
-	start := time.Now()
-	var wg sync.WaitGroup
+	bridge := timeBridge(p.TimeScale)
+	sched := newScheduler(bridge)
 	for c := 0; c < p.Clusters; c++ {
 		for u := 0; u < usersPer; u++ {
-			arrivals := liveArrivals(p.Seed, usersPer, c, u, p.QueryRate, p.Duration)
-			wg.Add(1)
-			go func(c, u int, arrivals []float64) {
-				defer wg.Done()
-				for _, at := range arrivals {
-					if wait := time.Until(start.Add(p.wall(at))); wait > 0 {
-						time.Sleep(wait)
-					}
-					var err error
-					if u < p.ClientsPerCluster {
-						_, err = clients[c*p.ClientsPerCluster+u].SearchDetailed(loadProbeTerm, p.QueryWindow)
-					} else if n := live.Node(c, 0); n != nil {
-						_, err = n.Search(loadProbeTerm, p.QueryWindow)
-					}
-					if err != nil {
-						p.Logf("loadvalidation: query c%du%d: %v", c, u, err)
-					}
+			sched.arrivals(liveArrivals(p.Seed, usersPer, c, u, p.QueryRate, p.Duration), func(int) {
+				var err error
+				if u < p.ClientsPerCluster {
+					_, err = clients[c*p.ClientsPerCluster+u].SearchDetailed(loadProbeTerm, p.QueryWindow)
+				} else if n := live.Node(c, 0); n != nil {
+					_, err = n.Search(loadProbeTerm, p.QueryWindow)
 				}
-			}(c, u, arrivals)
+				if err != nil {
+					p.Logf("loadvalidation: query c%du%d: %v", c, u, err)
+				}
+			})
 		}
 	}
-	wg.Wait()
-	if rest := time.Until(start.Add(p.wall(p.Duration))); rest > 0 {
-		time.Sleep(rest)
+	sched.finish(p.Duration)
+	// In-flight forwards land before the closing scrape.
+	if err := awaitQuiet(live); err != nil {
+		return nil, nil, fmt.Errorf("loadvalidation: %w", err)
 	}
-	// Short drain so in-flight forwards land before the closing scrape.
-	time.Sleep(100 * time.Millisecond)
-	virtualElapsed := time.Since(start).Seconds() * p.TimeScale
+	virtualElapsed := bridge.virtual(time.Since(sched.start))
 
 	ids = make([]string, len(sps))
 	measured = make([]metrics.ByClass, len(sps))
@@ -347,7 +304,7 @@ func RunLoadValidationResult(p LoadValidationParams) (*LoadValidationResult, err
 	if err != nil {
 		return nil, err
 	}
-	ids, liveMeasured, err := runLiveLoadCell(&p)
+	ids, liveMeasured, err := runLiveLoadCell(&p, inst)
 	if err != nil {
 		return nil, err
 	}

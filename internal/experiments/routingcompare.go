@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -12,8 +13,6 @@ import (
 	"spnet/internal/routing"
 	"spnet/internal/sim"
 	"spnet/internal/stats"
-	"spnet/internal/topology"
-	"spnet/internal/workload"
 )
 
 // RoutingCompareParams shape the routing-strategy comparison: the same star
@@ -92,64 +91,24 @@ func (p *RoutingCompareParams) clusters() int { return p.Leaves + 1 }
 
 func routingTopic(cluster int) string { return fmt.Sprintf("topic%d", cluster) }
 
-// routingStar builds the hub-and-leaves overlay: node 0 is the hub, nodes
-// 1..Leaves connect to it.
-func routingStar(leaves int) (*topology.AdjGraph, error) {
-	edges := make([][2]int, leaves)
-	for i := 0; i < leaves; i++ {
-		edges[i] = [2]int{0, i + 1}
-	}
-	return topology.NewAdjGraph(leaves+1, edges)
-}
-
-// routingCompareInstance hand-builds the star instance all three layers
-// share. Every cluster has one partner with no files and ClientsPerCluster
-// clients with one topic file each; a query matches a cluster's index with
+// routingCompareInstance plants the star instance all three layers share:
+// every cluster has one file-less partner and ClientsPerCluster clients with
+// one file of the cluster's topic, so a query matches a cluster's index with
 // probability 1/clusters and then returns all ClientsPerCluster files.
 func routingCompareInstance(p *RoutingCompareParams) (*network.Instance, error) {
-	qm, err := workload.NewQueryModel([]float64{1}, []float64{1})
+	graph, err := starGraph(p.Leaves)
 	if err != nil {
 		return nil, err
 	}
-	graph, err := routingStar(p.Leaves)
-	if err != nil {
-		return nil, err
-	}
-	const never = 1e12 // lifespan, seconds: join rate 1/never ~ 0
-	n := p.clusters()
-	c := p.ClientsPerCluster
-	prof := &workload.Profile{
-		Queries:  qm,
-		Rates:    workload.Rates{QueryRate: p.QueryRate, UpdateRate: 0},
-		QueryLen: len(routingTopic(0)),
-	}
-	clusters := make([]network.Cluster, n)
-	for v := range clusters {
-		cl := network.Cluster{
-			Partners:   []network.Peer{{Files: 0, Lifespan: never}},
-			IndexFiles: c,
-			ExpResults: float64(c) / float64(n),
-			ExpAddrs:   float64(c) / float64(n),
-			ProbResp:   1 / float64(n),
-		}
-		for i := 0; i < c; i++ {
-			cl.Clients = append(cl.Clients, network.Peer{Files: 1, Lifespan: never})
-		}
-		clusters[v] = cl
-	}
-	return &network.Instance{
-		Config: network.Config{
-			GraphType:   network.PowerLaw,
-			GraphSize:   n * (c + 1),
-			ClusterSize: c + 1,
-			KRedundancy: 1,
-			TTL:         2,
-		},
-		Profile:  prof,
-		Graph:    graph,
-		Clusters: clusters,
-		NumPeers: n * (c + 1),
-	}, nil
+	return plantedInstance(planted{
+		graph:     graph,
+		partners:  1,
+		clients:   p.ClientsPerCluster,
+		topics:    p.clusters(),
+		queryRate: p.QueryRate,
+		term:      routingTopic(0),
+		ttl:       2,
+	})
 }
 
 // routingForwardModel returns the analytic forward model for a strategy spec
@@ -276,11 +235,11 @@ func runRoutingSim(p *RoutingCompareParams, spec string) (RoutingCompareCell, er
 	return cell, nil
 }
 
-// runRoutingLive boots a live star of p2p nodes under one strategy, drives a
-// seeded query schedule through real client connections, and measures
-// forwards per query from the spnet_queries_forwarded_total counters and
-// recall from collected results.
-func runRoutingLive(p *RoutingCompareParams, spec string) (RoutingCompareCell, error) {
+// runRoutingLive boots the instance's star as a live fleet under one
+// strategy, drives a seeded query schedule through real client connections,
+// and measures forwards per query from the spnet_queries_forwarded_total
+// counters and recall from collected results.
+func runRoutingLive(p *RoutingCompareParams, inst *network.Instance, spec string) (RoutingCompareCell, error) {
 	var cell RoutingCompareCell
 	strat, err := routing.Parse(spec)
 	if err != nil {
@@ -289,34 +248,24 @@ func runRoutingLive(p *RoutingCompareParams, spec string) (RoutingCompareCell, e
 	n := p.clusters()
 	c := p.ClientsPerCluster
 
-	nodes := make([]*p2p.Node, n)
-	defer func() {
-		for _, nd := range nodes {
-			if nd != nil {
-				nd.Close()
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		st, err := routing.Parse(spec) // fresh value per node; state is per-node anyway
-		if err != nil {
-			return cell, err
-		}
-		nodes[i] = p2p.NewNode(p2p.Options{
+	live := network.NewLive(network.LiveConfig{
+		Partners: 1,
+		Graph:    inst.Graph,
+		Seed:     p.Seed,
+		Node: p2p.Options{
 			TTL:               2,
 			HeartbeatInterval: -1,
 			DrainTimeout:      200 * time.Millisecond,
-			Routing:           st,
-			RoutingSeed:       p.Seed + uint64(i+1),
-		})
-		if err := nodes[i].Listen("127.0.0.1:0"); err != nil {
-			return cell, fmt.Errorf("routingcompare: node %d listen: %w", i, err)
-		}
+			Routing:           strat,
+			RoutingSeed:       p.Seed + 1,
+		},
+	})
+	if err := live.Launch(); err != nil {
+		return cell, err
 	}
-	for i := 1; i < n; i++ {
-		if err := nodes[i].ConnectPeer(nodes[0].Addr()); err != nil {
-			return cell, fmt.Errorf("routingcompare: leaf %d connect: %w", i, err)
-		}
+	defer live.Close()
+	if err := awaitWired(live, inst.Graph, 1); err != nil {
+		return cell, fmt.Errorf("routingcompare: %w", err)
 	}
 
 	var clients []*p2p.Client
@@ -327,7 +276,7 @@ func runRoutingLive(p *RoutingCompareParams, spec string) (RoutingCompareCell, e
 	}()
 	for v := 0; v < n; v++ {
 		for i := 0; i < c; i++ {
-			cl, err := p2p.DialClient(nodes[v].Addr(), []p2p.SharedFile{
+			cl, err := p2p.DialClient(live.ClusterAddrs(v)[0], []p2p.SharedFile{
 				{Index: uint32(i + 1), Title: routingTopic(v)},
 			})
 			if err != nil {
@@ -336,13 +285,24 @@ func runRoutingLive(p *RoutingCompareParams, spec string) (RoutingCompareCell, e
 			clients = append(clients, cl)
 		}
 	}
-
+	if err := awaitIndexed(live, n*c); err != nil {
+		return cell, fmt.Errorf("routingcompare: %w", err)
+	}
 	if routing.UsesSummaries(strat) {
-		if err := awaitSummaries(nodes, p.Leaves, 5*time.Second); err != nil {
-			return cell, err
+		// Routing-index adverts have propagated once the hub holds one
+		// summary per leaf and every leaf holds the hub's aggregate
+		// covering all other clusters' topics.
+		if err := await("routing summaries", 5*time.Second, func() bool {
+			for v := 0; v < n; v++ {
+				_, links, terms := live.Node(v, 0).RoutingInfo()
+				if links != inst.Graph.Degree(v) || terms < p.Leaves {
+					return false
+				}
+			}
+			return true
+		}); err != nil {
+			return cell, fmt.Errorf("routingcompare: %w", err)
 		}
-	} else {
-		time.Sleep(150 * time.Millisecond) // let joins finish indexing
 	}
 
 	search := func(rng *stats.RNG) int {
@@ -366,12 +326,13 @@ func runRoutingLive(p *RoutingCompareParams, spec string) (RoutingCompareCell, e
 		}
 	}
 
+	// The measured window opens and closes on a quiet fleet, so every relay
+	// of its queries, and none of the warmup's, lands in the counter delta.
 	forwarded := func() int64 {
-		var sum int64
-		for _, nd := range nodes {
-			sum += nd.Metrics().QueriesForwarded.Value()
-		}
-		return sum
+		return fleetSum(live, func(nd *p2p.Node) int64 { return nd.Metrics().QueriesForwarded.Value() })
+	}
+	if err := awaitQuiet(live); err != nil {
+		return cell, fmt.Errorf("routingcompare: %w", err)
 	}
 	base := forwarded()
 
@@ -380,37 +341,13 @@ func runRoutingLive(p *RoutingCompareParams, spec string) (RoutingCompareCell, e
 	for q := 0; q < p.LiveQueries; q++ {
 		found += float64(search(rng))
 	}
-	// Settle so in-flight relays land in the counters before the read.
-	time.Sleep(100 * time.Millisecond)
+	if err := awaitQuiet(live); err != nil {
+		return cell, fmt.Errorf("routingcompare: %w", err)
+	}
 
 	cell.ForwardsPerQuery = float64(forwarded()-base) / float64(p.LiveQueries)
 	cell.Recall = found / float64(p.LiveQueries*c)
 	return cell, nil
-}
-
-// awaitSummaries polls RoutingInfo until routing-index adverts have
-// propagated: the hub holds one summary per leaf and every leaf holds the
-// hub's aggregate covering all other clusters' topics.
-func awaitSummaries(nodes []*p2p.Node, leaves int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := true
-		for i, nd := range nodes {
-			_, links, terms := nd.RoutingInfo()
-			if i == 0 {
-				ok = ok && links == leaves && terms >= leaves
-			} else {
-				ok = ok && links == 1 && terms >= leaves
-			}
-		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("routingcompare: summaries did not converge within %v", timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // RunRoutingCompareResult executes the full three-way strategy comparison
@@ -420,13 +357,7 @@ func RunRoutingCompareResult(p RoutingCompareParams) (*RoutingCompareResult, err
 	n := p.clusters()
 
 	specs := p.Strategies
-	hasFlood := false
-	for _, s := range specs {
-		if s == "flood" {
-			hasFlood = true
-		}
-	}
-	if !hasFlood {
+	if !slices.Contains(specs, "flood") {
 		specs = append([]string{"flood"}, specs...)
 	}
 
@@ -462,7 +393,7 @@ func RunRoutingCompareResult(p RoutingCompareParams) (*RoutingCompareResult, err
 		if err != nil {
 			return nil, err
 		}
-		liveCell, err := runRoutingLive(&p, spec)
+		liveCell, err := runRoutingLive(&p, inst, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -531,22 +462,8 @@ func RunRoutingCompare(p RoutingCompareParams) (*Report, error) {
 func runRoutingCompareDefault(p Params) (*Report, error) {
 	rp := RoutingCompareParams{Seed: p.Seed}
 	if p.Scale > 0 && p.Scale < 1 {
-		rp.SimDuration = maxf(400, 4000*p.Scale)
-		rp.LiveQueries = maxi(24, int(120*p.Scale))
+		rp.SimDuration = max(400, 4000*p.Scale)
+		rp.LiveQueries = max(24, int(120*p.Scale))
 	}
 	return RunRoutingCompare(rp)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

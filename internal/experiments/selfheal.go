@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"spnet/internal/analysis"
@@ -98,17 +97,6 @@ func (p *SelfHealParams) setDefaults() {
 	}
 }
 
-func (p *SelfHealParams) wall(virtual float64) time.Duration {
-	return time.Duration(virtual / p.TimeScale * float64(time.Second))
-}
-
-func (p *SelfHealParams) wallClamped(virtual float64, floor time.Duration) time.Duration {
-	if d := p.wall(virtual); d > floor {
-		return d
-	}
-	return floor
-}
-
 // clientShare is the per-partner client budget: capacity is provisioned
 // exactly, so a dead partner's clients cannot re-home without a promotion.
 func (p *SelfHealParams) clientShare() int {
@@ -162,6 +150,7 @@ func rotate(addrs []string, from int) []string {
 func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *control.Controller, time.Time, error) {
 	var arm SelfHealArm
 	share := p.clientShare()
+	bridge := timeBridge(p.TimeScale)
 	live := network.NewLive(network.LiveConfig{
 		Clusters:  p.Clusters,
 		Partners:  p.Partners,
@@ -170,7 +159,7 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 		Node: p2p.Options{
 			MaxClients:        share,
 			TTL:               7,
-			HeartbeatInterval: p.wallClamped(30, 100*time.Millisecond),
+			HeartbeatInterval: bridge.wallClamped(30, 100*time.Millisecond),
 			DrainTimeout:      200 * time.Millisecond,
 		},
 	})
@@ -190,7 +179,7 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 		}
 		ctrl = control.New(control.Options{
 			Nodes:          nodes,
-			ScrapeInterval: p.wallClamped(p.ScrapeInterval, 50*time.Millisecond),
+			ScrapeInterval: bridge.wallClamped(p.ScrapeInterval, 50*time.Millisecond),
 			RPCTimeout:     500 * time.Millisecond,
 			DialTimeout:    500 * time.Millisecond,
 			Backoff:        control.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond},
@@ -222,11 +211,11 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 			cl, err := p2p.DialClientOptions(p2p.DialOptions{
 				Addrs:             rotate(live.ClusterAddrs(c), i%p.Partners),
 				Seed:              p.Seed + uint64(c*p.ClientsPerCluster+i),
-				HeartbeatInterval: p.wallClamped(5, 20*time.Millisecond),
+				HeartbeatInterval: bridge.wallClamped(5, 20*time.Millisecond),
 				MaxAttempts:       2 * p.Partners,
 				Backoff: p2p.Backoff{
-					Initial: p.wallClamped(1, 5*time.Millisecond),
-					Max:     p.wallClamped(10, 25*time.Millisecond),
+					Initial: bridge.wallClamped(1, 5*time.Millisecond),
+					Max:     bridge.wallClamped(10, 25*time.Millisecond),
 				},
 			}, []p2p.SharedFile{{Index: 1, Title: fmt.Sprintf("needle c%dp%d", c, i)}})
 			if err != nil {
@@ -239,57 +228,28 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 		}
 	}
 
-	start := time.Now()
-	stopc := make(chan struct{})
+	run := newScheduler(bridge)
 	var killedAt time.Time
-	var killWG sync.WaitGroup
-	killWG.Add(1)
-	go func() {
-		defer killWG.Done()
-		wait := time.Until(start.Add(p.wall(p.KillAt)))
-		if wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-stopc:
-				return
-			}
-		}
+	run.faults([]float64{p.KillAt}, func(int) {
 		killedAt = time.Now()
 		if err := live.KillSuperPeer(0, 0); err != nil {
 			p.Logf("selfheal: kill sp-0-0: %v", err)
 		}
-	}()
+	})
 
 	type tally struct{ issued, lost int }
 	tallies := make([]tally, len(clients))
-	var genWG sync.WaitGroup
 	for ci, sc := range clients {
-		genWG.Add(1)
-		go func(ci int, sc *shClient) {
-			defer genWG.Done()
-			tl := &tallies[ci]
-			for _, at := range sc.arrivals {
-				if wait := time.Until(start.Add(p.wall(at))); wait > 0 {
-					select {
-					case <-time.After(wait):
-					case <-stopc:
-						return
-					}
-				}
-				_, err := sc.cl.Search("needle", p.QueryWindow)
-				tl.issued++
-				if err != nil {
-					tl.lost++
-				}
+		tl := &tallies[ci]
+		run.arrivals(sc.arrivals, func(int) {
+			_, err := sc.cl.Search("needle", p.QueryWindow)
+			tl.issued++
+			if err != nil {
+				tl.lost++
 			}
-		}(ci, sc)
+		})
 	}
-	genWG.Wait()
-	if endWait := time.Until(start.Add(p.wall(p.Duration))); endWait > 0 {
-		time.Sleep(endWait)
-	}
-	close(stopc)
-	killWG.Wait()
+	run.finish(p.Duration)
 
 	for i := range tallies {
 		arm.Issued += tallies[i].issued
@@ -336,7 +296,7 @@ func RunSelfHealResult(p SelfHealParams) (*SelfHealResult, error) {
 		if killedAt.IsZero() || e.Time.Before(killedAt) {
 			continue
 		}
-		since := e.Time.Sub(killedAt).Seconds() * p.TimeScale
+		since := timeBridge(p.TimeScale).virtual(e.Time.Sub(killedAt))
 		if e.Type == control.EvDead && e.Node == "sp-0-0" && res.DetectVirtual < 0 {
 			res.DetectVirtual = since
 		}

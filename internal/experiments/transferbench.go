@@ -17,6 +17,18 @@ import (
 // must be discoverable via the ordinary query plane before a byte moves.
 const transferBenchTitle = "transferbench validation payload"
 
+const (
+	// transferWindow is the downloader's per-source outstanding-chunk
+	// window.
+	transferWindow = 4
+	// transferQueryWindow is how long each source-discovery search collects
+	// hits.
+	transferQueryWindow = 300 * time.Millisecond
+	// transferKillFraction is when the failover drill kills one source, as a
+	// fraction of the predicted clean-download duration.
+	transferKillFraction = 0.4
+)
+
 // TransferBenchParams shape the content-transfer validation: a fleet of live
 // super-peers serves one deterministic file under a per-source rate cap, a
 // multi-source chunked download runs against the sources a real overlay query
@@ -36,15 +48,6 @@ type TransferBenchParams struct {
 	// SourceRate is each super-peer's content-byte service cap in bytes/sec
 	// — the knob that makes throughput predictable (default 256 KiB/s).
 	SourceRate float64
-	// Window is the downloader's per-source outstanding-chunk window
-	// (default 4).
-	Window int
-	// QueryWindow is the wall-clock window the source-discovery search
-	// collects hits for (default 300ms).
-	QueryWindow time.Duration
-	// KillFraction is when the failover drill kills one source, as a
-	// fraction of the predicted clean-download duration (default 0.4).
-	KillFraction float64
 	// Seed drives the downloader's backoff jitter and the harness.
 	Seed uint64
 	// Logf, when set, receives diagnostic output.
@@ -63,15 +66,6 @@ func (p *TransferBenchParams) setDefaults() {
 	}
 	if p.SourceRate <= 0 {
 		p.SourceRate = 256 << 10
-	}
-	if p.Window <= 0 {
-		p.Window = 4
-	}
-	if p.QueryWindow <= 0 {
-		p.QueryWindow = 300 * time.Millisecond
-	}
-	if p.KillFraction <= 0 || p.KillFraction >= 1 {
-		p.KillFraction = 0.4
 	}
 	if p.Logf == nil {
 		p.Logf = func(string, ...any) {}
@@ -142,26 +136,29 @@ func discoverSources(p *TransferBenchParams, live *network.Live) ([]transfer.Sou
 	if n == nil {
 		return nil, fmt.Errorf("transferbench: query node missing")
 	}
-	deadline := time.Now().Add(10 * time.Second)
 	var sources []transfer.Source
-	for time.Now().Before(deadline) {
-		results, err := n.Search(transferBenchTitle, p.QueryWindow)
+	var searchErr error
+	err := await(fmt.Sprintf("%d sources", p.Clusters), 10*time.Second, func() bool {
+		results, err := n.Search(transferBenchTitle, transferQueryWindow)
 		if err != nil {
-			return nil, err
+			searchErr = err
+			return true
 		}
 		sources = p2p.TransferSources(results, transferBenchTitle)
-		if len(sources) >= p.Clusters {
-			return sources, nil
-		}
-		time.Sleep(50 * time.Millisecond)
+		return len(sources) >= p.Clusters
+	})
+	if searchErr != nil {
+		return nil, searchErr
 	}
-	return nil, fmt.Errorf("transferbench: query surfaced %d sources, want %d",
-		len(sources), p.Clusters)
+	if err != nil {
+		return nil, fmt.Errorf("transferbench: query surfaced %d sources: %w", len(sources), err)
+	}
+	return sources, nil
 }
 
 func (p *TransferBenchParams) fetchOpts() transfer.Options {
 	return transfer.Options{
-		Window:           p.Window,
+		Window:           transferWindow,
 		Seed:             p.Seed,
 		DialTimeout:      2 * time.Second,
 		HandshakeTimeout: 2 * time.Second,
@@ -252,7 +249,7 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 		res, err := transfer.Fetch(sources, p.fetchOpts())
 		done <- outcome{res, err}
 	}()
-	killDelay := time.Duration(p.KillFraction * pred.DurationSec * float64(time.Second))
+	killDelay := time.Duration(transferKillFraction * pred.DurationSec * float64(time.Second))
 	var killAt time.Duration
 	select {
 	case out := <-done:
@@ -261,7 +258,7 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 		if out.err != nil {
 			return nil, fmt.Errorf("transferbench: drill download: %w", out.err)
 		}
-		return nil, fmt.Errorf("transferbench: drill finished in %v, before the %v kill point — raise FileSize or KillFraction",
+		return nil, fmt.Errorf("transferbench: drill finished in %v, before the %v kill point — raise FileSize",
 			out.res.Elapsed, killDelay)
 	case <-time.After(killDelay):
 		if err := live.KillSuperPeer(killCluster, 0); err != nil {
@@ -340,7 +337,7 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 			"model: window pipelining keeps every source service-bound, so throughput = sources × per-source rate cap",
 			"wire column scraped from each super-peer's /metrics endpoint (spnet_message_bytes_total{type=\"transfer\"})",
 			fmt.Sprintf("failover drill killed one source at %.0f%% of the predicted duration; download completed on the survivors",
-				100*p.KillFraction),
+				100*transferKillFraction),
 		},
 		Tables: []Table{cleanTable, drillTable},
 	}

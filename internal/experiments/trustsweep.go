@@ -11,14 +11,17 @@ import (
 	"spnet/internal/p2p"
 	"spnet/internal/sim"
 	"spnet/internal/stats"
-	"spnet/internal/topology"
-	"spnet/internal/workload"
 )
 
 // trustProbeTerm is the live sweep's common query term; the hub's provider
 // clients share files matching it, so any query that survives the access and
 // relay legs returns genuine results.
 const trustProbeTerm = "trust probe needle"
+
+// trustDrop and trustForge are a malicious partner's per-opportunity
+// misbehavior probabilities: always drop, always forge — the starkest
+// version of the attack.
+const trustDrop, trustForge = 1.0, 1.0
 
 // TrustSweepParams shape the adversarial three-way sweep: the same star
 // overlay is walked in closed form, simulated at the message level, and run
@@ -28,19 +31,15 @@ const trustProbeTerm = "trust probe needle"
 // The three layers share the attack (freeloading drops plus forged hits) but
 // each measures its own defense surface. The model predicts recall from
 // per-leg drop probabilities — trust-off legs lose a query with probability
-// (malicious slots/2)·Drop, trust-on legs only when every slot of a cluster
-// is malicious. The simulator adds reputation learning, Busy accounting and
-// the forged-hit audit. The live layer adds what only a working system has:
-// client re-homing over real sockets, trust-aware admission, and hit
-// validation against outstanding query routes.
+// (malicious slots/2)·trustDrop, trust-on legs only when every slot of a
+// cluster is malicious. The simulator adds reputation learning, Busy
+// accounting and the forged-hit audit. The live layer adds what only a
+// working system has: client re-homing over real sockets, trust-aware
+// admission, and hit validation against outstanding query routes.
 type TrustSweepParams struct {
 	// Fractions are the malicious-partner fractions swept (default
 	// 0, 0.1, 0.3, 0.5 — the ISSUE's 0–50% range).
 	Fractions []float64
-	// Drop and Forge are the per-opportunity misbehavior probabilities of a
-	// malicious partner (default 1: always drop, always forge — the
-	// starkest version of the attack).
-	Drop, Forge float64
 	// SimClusters is the simulated star's cluster count including the hub;
 	// each cluster has 2 partner slots and 3 clients (default 5).
 	SimClusters int
@@ -63,12 +62,6 @@ type TrustSweepParams struct {
 func (p *TrustSweepParams) setDefaults() {
 	if p.Fractions == nil {
 		p.Fractions = []float64{0, 0.1, 0.3, 0.5}
-	}
-	if p.Drop <= 0 {
-		p.Drop = 1
-	}
-	if p.Forge <= 0 {
-		p.Forge = 1
 	}
 	if p.SimClusters <= 0 {
 		p.SimClusters = 5
@@ -151,58 +144,23 @@ func trustModelLost(q []float64) float64 {
 	return total / float64(n*n)
 }
 
-// trustStarInstance hand-builds the star the model and simulator share:
-// clusters 2-redundant super-peer pairs, 3 one-file clients each, topic-
-// partitioned content, TTL 2 (enough for leaf→hub→leaf).
+// trustStarInstance plants the star the model and simulator share: clusters
+// 2-redundant super-peer pairs, 3 one-file clients each, topic-partitioned
+// content, TTL 2 (enough for leaf→hub→leaf).
 func trustStarInstance(clusters int) (*network.Instance, error) {
-	const clientsPer = 3
-	qm, err := workload.NewQueryModel([]float64{1}, []float64{1})
+	graph, err := starGraph(clusters - 1)
 	if err != nil {
 		return nil, err
 	}
-	edges := make([][2]int, clusters-1)
-	for i := range edges {
-		edges[i] = [2]int{0, i + 1}
-	}
-	graph, err := topology.NewAdjGraph(clusters, edges)
-	if err != nil {
-		return nil, err
-	}
-	const never = 1e12
-	cls := make([]network.Cluster, clusters)
-	for v := range cls {
-		cl := network.Cluster{
-			Partners: []network.Peer{
-				{Files: 0, Lifespan: never},
-				{Files: 0, Lifespan: never},
-			},
-			IndexFiles: clientsPer,
-			ExpResults: float64(clientsPer) / float64(clusters),
-			ExpAddrs:   float64(clientsPer) / float64(clusters),
-			ProbResp:   1 / float64(clusters),
-		}
-		for i := 0; i < clientsPer; i++ {
-			cl.Clients = append(cl.Clients, network.Peer{Files: 1, Lifespan: never})
-		}
-		cls[v] = cl
-	}
-	return &network.Instance{
-		Config: network.Config{
-			GraphType:   network.PowerLaw,
-			GraphSize:   clusters * (clientsPer + 2),
-			ClusterSize: clientsPer + 2,
-			KRedundancy: 2,
-			TTL:         2,
-		},
-		Profile: &workload.Profile{
-			Queries:  qm,
-			Rates:    workload.Rates{QueryRate: 0.05},
-			QueryLen: 6,
-		},
-		Graph:    graph,
-		Clusters: cls,
-		NumPeers: clusters * (clientsPer + 2),
-	}, nil
+	return plantedInstance(planted{
+		graph:     graph,
+		partners:  2,
+		clients:   3,
+		topics:    clusters,
+		queryRate: 0.05,
+		term:      routingTopic(0),
+		ttl:       2,
+	})
 }
 
 // runTrustSimCell simulates one (fraction, trust) cell on the star with
@@ -220,16 +178,16 @@ func runTrustSimCell(p *TrustSweepParams, frac float64, trustOn bool) (*sim.Meas
 		Seed:     p.Seed + 17,
 		Adversary: &sim.AdversaryOptions{
 			Malicious: trustMaliciousSlots(nMal, clusters),
-			Drop:      p.Drop,
-			Forge:     p.Forge,
+			Drop:      trustDrop,
+			Forge:     trustForge,
 			Trust:     trustOn,
 		},
 		Content: &sim.ContentOptions{
 			Titles: func(cluster, owner, file int) []string {
-				return []string{fmt.Sprintf("topic%d", cluster)}
+				return []string{routingTopic(cluster)}
 			},
 			Queries: func(rng *stats.RNG) []string {
-				return []string{fmt.Sprintf("topic%d", rng.Intn(clusters))}
+				return []string{routingTopic(rng.Intn(clusters))}
 			},
 		},
 	})
@@ -244,59 +202,40 @@ type trustLiveCell struct {
 	AdmissionShed  int64
 }
 
-// trustWait polls cond until it holds or the timeout elapses.
-func trustWait(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return cond()
-}
-
-// runTrustLiveCell boots a flat star of real nodes — an honest hub indexing
-// the provider's files, LiveLeaves access super-peers of which the first
-// round(frac·LiveLeaves) misbehave — and homes one client on every leaf with
-// the diametrically opposite leaf as its ranked alternative. Each client's
-// searches must cross its access leaf to reach the hub's content, so a
-// freeloading leaf starves exactly its own clients: the loss reputation-
-// driven re-homing is able to win back.
+// runTrustLiveCell boots a flat star fleet — an honest hub (cluster 0)
+// indexing the provider's files and LiveLeaves access super-peers, of which
+// the first round(frac·LiveLeaves) misbehave — and homes one client on every
+// leaf with the diametrically opposite leaf as its ranked alternative. Each
+// client's searches must cross its access leaf to reach the hub's content,
+// so a freeloading leaf starves exactly its own clients: the loss
+// reputation-driven re-homing is able to win back.
 func runTrustLiveCell(p *TrustSweepParams, frac float64, trustOn bool) (trustLiveCell, error) {
 	var cell trustLiveCell
 	leaves := p.LiveLeaves
 	nMal := int(math.Round(frac * float64(leaves)))
-
-	hub := p2p.NewNode(p2p.Options{Trust: trustOn})
-	if err := hub.Listen("127.0.0.1:0"); err != nil {
+	star, err := starGraph(leaves)
+	if err != nil {
 		return cell, err
 	}
-	defer hub.Close()
-	nodes := make([]*p2p.Node, leaves)
-	for i := range nodes {
-		opts := p2p.Options{Trust: trustOn}
-		if i < nMal {
-			opts.Misbehave = &p2p.MisbehaveOptions{
-				Drop:  p.Drop,
-				Forge: p.Forge,
-				Seed:  p.Seed + uint64(i),
-			}
-		}
-		nodes[i] = p2p.NewNode(opts)
-		if err := nodes[i].Listen("127.0.0.1:0"); err != nil {
-			return cell, err
-		}
-		defer nodes[i].Close()
-		if err := nodes[i].ConnectPeer(hub.Addr()); err != nil {
-			return cell, err
-		}
+	live := network.NewLive(network.LiveConfig{
+		Partners:  1,
+		Graph:     star,
+		Seed:      p.Seed,
+		Malicious: func(cluster, _ int) bool { return cluster >= 1 && cluster <= nMal },
+		Node: p2p.Options{
+			Trust:     trustOn,
+			Misbehave: &p2p.MisbehaveOptions{Drop: trustDrop, Forge: trustForge, Seed: p.Seed},
+		},
+	})
+	if err := live.Launch(); err != nil {
+		return cell, err
 	}
-	if !trustWait(5*time.Second, func() bool { return hub.Stats().Peers == leaves }) {
-		return cell, fmt.Errorf("trustsweep: hub saw %d peers, want %d", hub.Stats().Peers, leaves)
+	defer live.Close()
+	if err := awaitWired(live, star, 1); err != nil {
+		return cell, fmt.Errorf("trustsweep: %w", err)
 	}
 
-	provider, err := p2p.DialClient(hub.Addr(), []p2p.SharedFile{
+	provider, err := p2p.DialClient(live.ClusterAddrs(0)[0], []p2p.SharedFile{
 		{Index: 1, Title: trustProbeTerm + " first edition"},
 		{Index: 2, Title: trustProbeTerm + " second edition"},
 	})
@@ -304,14 +243,15 @@ func runTrustLiveCell(p *TrustSweepParams, frac float64, trustOn bool) (trustLiv
 		return cell, err
 	}
 	defer provider.Close()
-	if !trustWait(5*time.Second, func() bool { return hub.Stats().IndexedFiles == 2 }) {
-		return cell, fmt.Errorf("trustsweep: provider files not indexed")
+	if err := awaitIndexed(live, 2); err != nil {
+		return cell, fmt.Errorf("trustsweep: %w", err)
 	}
 
+	leafAddr := func(i int) string { return live.ClusterAddrs(1 + i%leaves)[0] }
 	clients := make([]*p2p.Client, leaves)
 	for i := range clients {
 		cl, err := p2p.DialClientOptions(p2p.DialOptions{
-			Addrs: []string{nodes[i].Addr(), nodes[(i+leaves/2)%leaves].Addr()},
+			Addrs: []string{leafAddr(i), leafAddr(i + leaves/2)},
 			Trust: trustOn,
 			Seed:  p.Seed ^ uint64(i+1)<<8,
 		}, nil)
@@ -349,14 +289,8 @@ func runTrustLiveCell(p *TrustSweepParams, frac float64, trustOn bool) (trustLiv
 
 	cell.Lost = float64(lost) / float64(searches)
 	cell.GenuinePerQ = float64(genuine) / float64(searches)
-	st := hub.Stats()
-	cell.ForgedDetected = st.HitsForged
-	cell.AdmissionShed = st.QueriesShedAdmission
-	for _, n := range nodes {
-		st := n.Stats()
-		cell.ForgedDetected += st.HitsForged
-		cell.AdmissionShed += st.QueriesShedAdmission
-	}
+	cell.ForgedDetected = fleetSum(live, func(n *p2p.Node) int64 { return n.Stats().HitsForged })
+	cell.AdmissionShed = fleetSum(live, func(n *p2p.Node) int64 { return n.Stats().QueriesShedAdmission })
 	for _, cl := range clients {
 		cell.Rehomes += int64(cl.Reconnects())
 	}
@@ -426,7 +360,7 @@ func RunTrustSweepResult(p TrustSweepParams, progress func(done, total int)) (*T
 		// Model column: closed-form star walk for the lost fraction, and the
 		// mean-value engine with the mean per-leg honesty for recall.
 		nMalSlots := int(math.Round(c.frac * 2 * float64(p.SimClusters)))
-		q := trustLegLoss(nMalSlots, p.SimClusters, p.Drop, c.trust)
+		q := trustLegLoss(nMalSlots, p.SimClusters, trustDrop, c.trust)
 		row.ModelLost = trustModelLost(q)
 		meanQ := 0.0
 		for _, v := range q {

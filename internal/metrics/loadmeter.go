@@ -121,7 +121,8 @@ const (
 	// MetricProcUnits accumulates executed processing cost in Table 2 model
 	// units (multiply by cost.CyclesPerUnit for Hz).
 	MetricProcUnits = "spnet_processing_units_total"
-	// MetricQueriesHandled counts queries a super-peer fully serviced.
+	// MetricQueriesHandled counts admitted queries a super-peer's workers
+	// have taken up.
 	MetricQueriesHandled = "spnet_queries_handled_total"
 	// MetricQueriesShed counts queries dropped by the overload ladder,
 	// labeled by reason and source class.
@@ -279,7 +280,7 @@ type NodeMetrics struct {
 	ConnsOpen *Gauge
 	// ProcUnits accumulates executed Table 2 processing units.
 	ProcUnits *FloatCounter
-	// QueriesHandled counts fully serviced queries.
+	// QueriesHandled counts admitted queries taken up by a worker.
 	QueriesHandled *Counter
 	// Shed counts dropped queries by [reason][source].
 	Shed [numShedReasons][numSources]*Counter
@@ -324,7 +325,7 @@ func NewNodeMetrics() *NodeMetrics {
 	}
 	nm.ConnsOpen = r.Gauge(MetricConnsOpen, "Open client and peer connections.")
 	nm.ProcUnits = r.FloatCounter(MetricProcUnits, "Executed processing cost in Table 2 model units.")
-	nm.QueriesHandled = r.Counter(MetricQueriesHandled, "Queries fully serviced by this node.")
+	nm.QueriesHandled = r.Counter(MetricQueriesHandled, "Admitted queries taken up by this node's workers.")
 	for reason := 0; reason < numShedReasons; reason++ {
 		for src := 0; src < numSources; src++ {
 			nm.Shed[reason][src] = r.Counter(MetricQueriesShed, "Queries dropped by the overload ladder, by reason and source class.",

@@ -9,6 +9,7 @@ import (
 	"spnet/internal/faults"
 	"spnet/internal/metrics"
 	"spnet/internal/p2p"
+	"spnet/internal/topology"
 )
 
 // LiveConfig shapes a live loopback deployment: real p2p.Node super-peers
@@ -16,12 +17,15 @@ import (
 // routed through a faults.Controller so churn is scriptable and
 // deterministic.
 type LiveConfig struct {
-	// Clusters is the number of virtual super-peers on the overlay ring
-	// (default 3).
+	// Clusters is the number of virtual super-peers (default 3). It is
+	// ignored when Graph is set: the graph's node count wins.
 	Clusters int
 	// Partners is the k-redundancy level: partners per virtual super-peer
 	// (Section 3.2; default 2).
 	Partners int
+	// Graph is the overlay between clusters, the same graph a
+	// network.Instance carries. Nil wires a ring over Clusters.
+	Graph topology.Graph
 	// Seed drives the fault controller's randomness.
 	Seed uint64
 	// Telemetry starts a loopback HTTP server per super-peer serving the
@@ -29,19 +33,47 @@ type LiveConfig struct {
 	// same handler spnet-node exposes for -telemetry. Addresses are pinned
 	// across kill/restart and reported by SuperPeers.
 	Telemetry bool
+	// Malicious picks the slots that run Node.Misbehave, with the same
+	// shape as sim.AdversaryOptions.Malicious; the others run honest. Nil
+	// gives every slot Node.Misbehave.
+	Malicious func(cluster, partner int) bool
 	// Node is the base configuration applied to every super-peer; its
 	// Wrap/Dial hooks are overwritten to route through the fault
-	// controller.
+	// controller. Each slot's RoutingSeed and Misbehave.Seed are the
+	// configured value plus the slot number (cluster·Partners + partner),
+	// so the slots draw distinct streams.
 	Node p2p.Options
 }
 
 func (c *LiveConfig) setDefaults() {
-	if c.Clusters <= 0 {
-		c.Clusters = 3
+	if c.Graph != nil {
+		c.Clusters = c.Graph.N()
+	} else {
+		if c.Clusters <= 0 {
+			c.Clusters = 3
+		}
+		c.Graph = ring(c.Clusters)
 	}
 	if c.Partners <= 0 {
 		c.Partners = 2
 	}
+}
+
+// ring links each cluster to its successor, closing the loop once there are
+// more than two clusters.
+func ring(n int) topology.Graph {
+	var edges [][2]int
+	for c := 1; c < n; c++ {
+		edges = append(edges, [2]int{c - 1, c})
+	}
+	if n > 2 {
+		edges = append(edges, [2]int{n - 1, 0})
+	}
+	g, err := topology.NewAdjGraph(n, edges)
+	if err != nil {
+		panic(err) // unreachable: the edges are in range and distinct
+	}
+	return g
 }
 
 // liveNode is one super-peer slot. The listen address is pinned at launch so
@@ -56,9 +88,10 @@ type liveNode struct {
 
 // Live runs a real super-peer network on loopback and orchestrates churn
 // against it: killing and restarting super-peers, partitioning whole
-// clusters, and injecting link faults. Clusters form a ring; all partners of
-// adjacent clusters are fully inter-linked, and partners within a cluster
-// peer with each other, matching the paper's redundancy wiring.
+// clusters, and injecting link faults. Clusters sit on the configured overlay
+// graph; all partners of adjacent clusters are fully inter-linked, and
+// partners within a cluster peer with each other, matching the paper's
+// redundancy wiring.
 type Live struct {
 	cfg  LiveConfig
 	ctrl *faults.Controller
@@ -108,8 +141,8 @@ func (l *Live) Launch() error {
 		}
 	}
 	for c := range l.nodes {
-		for p, ln := range l.nodes[c] {
-			if err := l.connectLocked(c, p, ln.node); err != nil {
+		for p := range l.nodes[c] {
+			if err := l.dialNeighborsLocked(c, p, true); err != nil {
 				l.closeLocked()
 				return err
 			}
@@ -150,7 +183,7 @@ func stopTelemetry(srv *http.Server) {
 // slots in stable cluster-major, partner-minor order with addresses pinned
 // across kill/restart, so scrape loops and result tables are deterministic.
 type SuperPeerInfo struct {
-	Cluster int    // cluster index on the ring
+	Cluster int    // cluster index on the overlay graph
 	Partner int    // partner rank within the cluster
 	ID      string // stable label, "sp-<cluster>-<partner>"
 	Addr    string // p2p listen address (pinned across restarts)
@@ -180,76 +213,54 @@ func (l *Live) SuperPeers() []SuperPeerInfo {
 }
 
 // newNode builds a super-peer whose connections all pass through the fault
-// controller under the slot's label.
+// controller under the slot's label, with the slot's derived seeds.
 func (l *Live) newNode(cluster, partner int) *p2p.Node {
 	opts := l.cfg.Node
 	lbl := label(cluster, partner)
 	opts.Wrap = l.ctrl.WrapAccept(lbl)
 	opts.Dial = l.ctrl.Dialer(lbl)
+	slot := uint64(l.slot(cluster, partner))
+	opts.RoutingSeed += slot
+	if opts.Misbehave != nil {
+		if l.cfg.Malicious != nil && !l.cfg.Malicious(cluster, partner) {
+			opts.Misbehave = nil
+		} else {
+			mis := *opts.Misbehave
+			mis.Seed += slot
+			opts.Misbehave = &mis
+		}
+	}
 	return p2p.NewNode(opts)
 }
 
-// connectLocked dials n's overlay links: co-partners in its own cluster and
-// every live partner of the ring-adjacent clusters. Only slots "before" the
-// given one are dialed during launch (the later slots dial back), so each
-// link is established exactly once; restarts dial everyone.
-func (l *Live) connectLocked(cluster, partner int, n *p2p.Node) error {
-	dial := func(c, p int) error {
-		tgt := l.nodes[c][p]
-		if tgt == nil || tgt.node == nil || tgt.node == n {
-			return nil
-		}
-		return n.ConnectPeer(tgt.addr)
-	}
-	// Co-partners: the intra-cluster mesh that lets partners hand off.
-	for p := 0; p < partner; p++ {
-		if err := dial(cluster, p); err != nil {
-			return err
-		}
-	}
-	// Ring neighbors, all partners (2k links per neighbor pair — the
-	// redundancy cost Section 3.2 accounts for).
-	if prev := cluster - 1; prev >= 0 {
-		for p := range l.nodes[prev] {
-			if err := dial(prev, p); err != nil {
-				return err
-			}
-		}
-	}
-	// The wrap-around link closes the ring (only for >2 clusters; with 2,
-	// cluster 1's "previous" link already connects the pair).
-	if cluster == l.cfg.Clusters-1 && l.cfg.Clusters > 2 {
-		for p := range l.nodes[0] {
-			if err := dial(0, p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// slot numbers super-peer slots in cluster-major, partner-minor order.
+func (l *Live) slot(cluster, partner int) int { return cluster*l.cfg.Partners + partner }
 
-// reconnectLocked dials every live overlay neighbor of the slot — used after
-// a restart, when no other node will dial back.
-func (l *Live) reconnectLocked(cluster, partner int, n *p2p.Node) error {
-	var errFirst error
-	dialAll := func(c int) {
+// dialNeighborsLocked dials a slot's overlay links: every co-partner and
+// every partner of each cluster adjacent in the graph (2k links per adjacent
+// pair — the redundancy cost Section 3.2 accounts for). At launch a slot
+// dials only the slots numbered before it and the later ones dial back, so
+// each link is made once; a restarted slot dials every running neighbour,
+// since none will dial it. Dialing continues past a failure and the first
+// error is returned.
+func (l *Live) dialNeighborsLocked(cluster, partner int, launch bool) error {
+	self := l.slot(cluster, partner)
+	n := l.nodes[cluster][partner].node
+	var first error
+	dialCluster := func(c int) bool {
 		for p, tgt := range l.nodes[c] {
-			if (c == cluster && p == partner) || tgt.node == nil {
+			if s := l.slot(c, p); s == self || (launch && s > self) || tgt.node == nil {
 				continue
 			}
-			if err := n.ConnectPeer(tgt.addr); err != nil && errFirst == nil {
-				errFirst = err
+			if err := n.ConnectPeer(tgt.addr); err != nil && first == nil {
+				first = err
 			}
 		}
+		return true
 	}
-	dialAll(cluster)
-	if l.cfg.Clusters > 1 {
-		dialAll((cluster + 1) % l.cfg.Clusters)
-		if prev := (cluster - 1 + l.cfg.Clusters) % l.cfg.Clusters; prev != (cluster+1)%l.cfg.Clusters {
-			dialAll(prev)
-		}
-	}
-	return errFirst
+	dialCluster(cluster)
+	l.cfg.Graph.VisitNeighbors(cluster, dialCluster)
+	return first
 }
 
 // ClusterAddrs returns the cluster's ranked partner addresses — the
@@ -314,7 +325,7 @@ func (l *Live) RestartSuperPeer(cluster, partner int) error {
 		return err
 	}
 	n.SetIdentity(label(cluster, partner), ln.telAddr)
-	return l.reconnectLocked(cluster, partner, n)
+	return l.dialNeighborsLocked(cluster, partner, false)
 }
 
 // ControllerLabel is the fault-controller label of the fleet controller's

@@ -2,11 +2,13 @@ package network
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"spnet/internal/p2p"
+	"spnet/internal/topology"
 )
 
 func waitLive(t *testing.T, what string, cond func() bool) {
@@ -297,4 +299,80 @@ func TestLivePartitionCluster(t *testing.T) {
 	lv.HealCluster(1)
 	// The healed link may deliver the stale query first; retry briefly.
 	waitLive(t, "post-heal search", func() bool { return search() == 1 })
+}
+
+// TestLiveWiresGraph checks that the overlay graph is the whole wiring
+// decision: every partner links to its k-1 co-partners and to all k partners
+// of each adjacent cluster, at launch and again after a kill and restart.
+func TestLiveWiresGraph(t *testing.T) {
+	star, err := topology.NewAdjGraph(4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		graph    topology.Graph
+		clusters int // ring size when graph is nil
+	}{
+		{"star", star, 0},
+		{"clique4", topology.NewClique(4), 0},
+		{"ring2", nil, 2},
+		{"ring3", nil, 3},
+	} {
+		g := tc.graph
+		if g == nil {
+			g = ring(tc.clusters)
+		}
+		for _, k := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/k%d", tc.name, k), func(t *testing.T) {
+				lv := NewLive(LiveConfig{Clusters: tc.clusters, Partners: k, Graph: tc.graph, Seed: 3})
+				if err := lv.Launch(); err != nil {
+					t.Fatal(err)
+				}
+				defer lv.Close()
+				const deadC = 1
+				deadP := k - 1
+				// wired checks every running slot's peer count; with dead
+				// set, slot deadC/deadP is down and its links are gone.
+				wired := func(dead bool) func() bool {
+					return func() bool {
+						for _, sp := range lv.SuperPeers() {
+							want := (k - 1) + g.Degree(sp.Cluster)*k
+							if dead {
+								if sp.Cluster == deadC && sp.Partner == deadP {
+									continue
+								}
+								if sp.Cluster == deadC || adjacent(g, sp.Cluster, deadC) {
+									want--
+								}
+							}
+							if lv.Node(sp.Cluster, sp.Partner).Stats().Peers != want {
+								return false
+							}
+						}
+						return true
+					}
+				}
+				waitLive(t, "launch wiring", wired(false))
+				if err := lv.KillSuperPeer(deadC, deadP); err != nil {
+					t.Fatal(err)
+				}
+				waitLive(t, "links to the killed slot shed", wired(true))
+				if err := lv.RestartSuperPeer(deadC, deadP); err != nil {
+					t.Fatal(err)
+				}
+				waitLive(t, "restart wiring", wired(false))
+			})
+		}
+	}
+}
+
+// adjacent reports whether clusters a and b are linked in g.
+func adjacent(g topology.Graph, a, b int) bool {
+	found := false
+	g.VisitNeighbors(a, func(w int) bool {
+		found = w == b
+		return !found
+	})
+	return found
 }

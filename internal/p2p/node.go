@@ -440,7 +440,8 @@ type Stats struct {
 	Clients      int
 	Peers        int
 	IndexedFiles int
-	// QueriesHandled counts queries dispatched to completion.
+	// QueriesHandled counts admitted queries a worker has taken up; it
+	// moves before the handler writes any response.
 	QueriesHandled int64
 	// QueriesShed counts queries answered with Busy because the dispatch
 	// queue or a connection's inflight cap was full, across both source
@@ -795,6 +796,9 @@ func (n *Node) dispatch(t queryTask) {
 	if t.fromPeer {
 		defer n.peerQueued.Add(-1)
 	}
+	// Count before the handler writes any response, so whoever has seen
+	// the response also sees the query counted.
+	n.metrics.QueriesHandled.Inc()
 	start := time.Now()
 	if t.fromPeer {
 		n.handlePeerQuery(t.c, t.q)
@@ -802,7 +806,6 @@ func (n *Node) dispatch(t queryTask) {
 		n.handleClientQuery(t.c, t.q)
 	}
 	n.metrics.QueryService.Observe(time.Since(start).Seconds())
-	n.metrics.QueriesHandled.Inc()
 }
 
 // pruneLoop expires stale reverse-path routes.
