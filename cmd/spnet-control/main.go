@@ -59,6 +59,18 @@ func (n *nodeFlags) Set(spec string) error {
 	return nil
 }
 
+// validateLimits rejects a -capacity or -base-ttl the directive wire
+// format cannot carry, rather than letting the controller clamp it.
+func validateLimits(capacity, baseTTL int) error {
+	if capacity < 1 || capacity > spnet.FleetMaxClientCapacity {
+		return fmt.Errorf("-capacity %d out of range [1, %d]", capacity, spnet.FleetMaxClientCapacity)
+	}
+	if baseTTL < 1 || baseTTL > spnet.FleetMaxBaseTTL {
+		return fmt.Errorf("-base-ttl %d out of range [1, %d]", baseTTL, spnet.FleetMaxBaseTTL)
+	}
+	return nil
+}
+
 func main() {
 	var nodes nodeFlags
 	var (
@@ -77,6 +89,10 @@ func main() {
 	if len(nodes) == 0 {
 		fmt.Fprintln(os.Stderr, "spnet-control: at least one -node is required")
 		flag.Usage()
+		os.Exit(2)
+	}
+	if err := validateLimits(*capacity, *ttl); err != nil {
+		fmt.Fprintln(os.Stderr, "spnet-control:", err)
 		os.Exit(2)
 	}
 

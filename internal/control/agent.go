@@ -18,55 +18,6 @@ const (
 	helloOK      = "SPNET/1.0 OK"
 )
 
-// Backoff shapes the seeded exponential backoff every control RPC retry and
-// every link redial uses — the same discipline as the supervised client.
-type Backoff struct {
-	// Initial is the first retry delay (default 100ms).
-	Initial time.Duration
-	// Max caps the delay (default 2s).
-	Max time.Duration
-	// Multiplier grows the delay per attempt (default 2).
-	Multiplier float64
-	// Jitter is the ± fraction of random spread (default 0.2; negative
-	// disables jitter entirely, for deterministic schedules).
-	Jitter float64
-}
-
-func (b *Backoff) setDefaults() {
-	if b.Initial <= 0 {
-		b.Initial = 100 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 2 * time.Second
-	}
-	if b.Multiplier < 1 {
-		b.Multiplier = 2
-	}
-	if b.Jitter == 0 {
-		b.Jitter = 0.2
-	}
-	if b.Jitter < 0 || b.Jitter >= 1 {
-		b.Jitter = 0
-	}
-}
-
-// delay computes the attempt'th backoff delay (0-based; attempt 0 waits
-// Initial) with seeded jitter.
-func (b Backoff) delay(attempt int, rng *stats.RNG) time.Duration {
-	d := float64(b.Initial)
-	for i := 0; i < attempt; i++ {
-		d *= b.Multiplier
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
-	}
-	if b.Jitter > 0 {
-		d *= 1 + b.Jitter*(2*rng.Float64()-1)
-	}
-	return time.Duration(d)
-}
-
 // agent maintains the control link to one node: dial with seeded backoff,
 // handshake, read the node's Register announcement, then pump acks and
 // re-registrations until the link dies — and start over. One goroutine per
@@ -109,7 +60,7 @@ func (a *agent) run() {
 		}
 		conn, err := a.dial()
 		if err != nil {
-			d := a.ctrl.opts.Backoff.delay(attempt, a.rng)
+			d := a.ctrl.opts.Backoff.Delay(attempt, a.rng)
 			attempt++
 			select {
 			case <-a.ctrl.stop:
@@ -128,7 +79,7 @@ func (a *agent) run() {
 		select {
 		case <-a.ctrl.stop:
 			return
-		case <-time.After(a.ctrl.opts.Backoff.delay(0, a.rng)):
+		case <-time.After(a.ctrl.opts.Backoff.Delay(0, a.rng)):
 		}
 	}
 }
@@ -257,7 +208,7 @@ func (a *agent) push(d *gnutella.Directive) error {
 			select {
 			case <-a.ctrl.stop:
 				return fmt.Errorf("control: shutting down")
-			case <-time.After(a.ctrl.opts.Backoff.delay(attempt-1, a.rng)):
+			case <-time.After(a.ctrl.opts.Backoff.Delay(attempt-1, a.rng)):
 			}
 		}
 		ack, err := a.pushOnce(d)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"spnet/internal/p2p"
+	"spnet/internal/stats"
 )
 
 // eventLog records supervised-client lifecycle events in arrival order.
@@ -67,7 +68,7 @@ func TestClientEventOrderAcrossPromotedFailover(t *testing.T) {
 		// outlasts the Busy window until the controller's promotion lands.
 		HeartbeatInterval: 25 * time.Millisecond,
 		MaxAttempts:       40,
-		Backoff:           p2p.Backoff{Initial: 40 * time.Millisecond, Max: 150 * time.Millisecond},
+		Backoff:           stats.Backoff{Initial: 40 * time.Millisecond, Max: 150 * time.Millisecond},
 		Seed:              11,
 		OnEvent:           log.add,
 	}, []p2p.SharedFile{{Index: 1, Title: "ordered events manual"}})

@@ -21,6 +21,7 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -64,8 +65,9 @@ type Options struct {
 	// PushAttempts is how many times a directive is retried before the
 	// controller gives up for this tick (default 3).
 	PushAttempts int
-	// Backoff shapes redial and retry delays.
-	Backoff Backoff
+	// Backoff shapes redial and retry delays (default 100ms..2s ×2 with
+	// 0.2 jitter).
+	Backoff stats.Backoff
 	// Seed drives every random draw (backoff jitter); fixed seed, fixed
 	// schedule.
 	Seed uint64
@@ -78,7 +80,8 @@ type Options struct {
 	FlapRegisters int
 	// ClientCapacity is the fleet's baseline per-node client capacity.
 	// Promotion pushes 2× this to the surviving partner; recovery restores
-	// it (default 100).
+	// it (default 100). Directives carry capacity as a uint16, so values
+	// above MaxClientCapacity are clamped to it.
 	ClientCapacity int
 	// Limit is the per-node load limit measured load is compared against —
 	// typically derived from the analytical prediction via PredictedLoad
@@ -89,20 +92,13 @@ type Options struct {
 	// defaults).
 	Thresholds design.Thresholds
 	// BaseTTL is the TTL nodes start with, the ceiling TTL decay works down
-	// from (default 7).
+	// from (default 7). Directives carry TTL as a uint8, so values above
+	// MaxBaseTTL are clamped to it.
 	BaseTTL int
 	// TimeScale converts wall-clock scrape rates into model (virtual)
 	// per-second rates when the workload is driven on compressed time:
 	// virtual seconds per wall second (default 1).
 	TimeScale float64
-	// SustainTicks is how many consecutive ticks a hotspot or underload
-	// signal must persist before the controller acts — hysteresis against
-	// one-scrape blips (default 2).
-	SustainTicks int
-	// CooldownTicks is how many ticks after an action the same node is left
-	// alone, so a directive's effect is observed before the next one
-	// (default 3).
-	CooldownTicks int
 	// Dial, when set, replaces the dialer for both control links and
 	// telemetry scrapes — the fault-injection hook (faults.Dialer).
 	Dial func(network, addr string, timeout time.Duration) (net.Conn, error)
@@ -111,6 +107,13 @@ type Options struct {
 	// Logf, when set, receives diagnostic output.
 	Logf func(format string, args ...any)
 }
+
+// The largest ClientCapacity and BaseTTL a directive can carry: promotion
+// pushes 2×ClientCapacity as a uint16, and TTLs travel as a uint8.
+const (
+	MaxClientCapacity = math.MaxUint16 / 2
+	MaxBaseTTL        = math.MaxUint8
+)
 
 func (o *Options) setDefaults() {
 	if o.ScrapeInterval <= 0 {
@@ -128,7 +131,8 @@ func (o *Options) setDefaults() {
 	if o.PushAttempts <= 0 {
 		o.PushAttempts = 3
 	}
-	o.Backoff.setDefaults()
+	o.Backoff = o.Backoff.WithDefaults(stats.Backoff{
+		Initial: 100 * time.Millisecond, Max: 2 * time.Second, Multiplier: 2, Jitter: 0.2})
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 2
 	}
@@ -138,17 +142,13 @@ func (o *Options) setDefaults() {
 	if o.ClientCapacity <= 0 {
 		o.ClientCapacity = 100
 	}
+	o.ClientCapacity = min(o.ClientCapacity, MaxClientCapacity)
 	if o.BaseTTL <= 0 {
 		o.BaseTTL = 7
 	}
+	o.BaseTTL = min(o.BaseTTL, MaxBaseTTL)
 	if o.TimeScale <= 0 {
 		o.TimeScale = 1
-	}
-	if o.SustainTicks <= 0 {
-		o.SustainTicks = 2
-	}
-	if o.CooldownTicks <= 0 {
-		o.CooldownTicks = 3
 	}
 	if o.Dial == nil {
 		o.Dial = net.DialTimeout
@@ -244,12 +244,9 @@ type nodeState struct {
 	// promotedFor, on a surviving partner, names the dead node whose
 	// cluster it was promoted to absorb; "" otherwise.
 	promotedFor string
-	// overTicks / underTicks count consecutive ticks of hotspot / underload
-	// signal, for hysteresis.
-	overTicks  int
-	underTicks int
-	// cooldown suppresses further load actions for a few ticks after one.
-	cooldown int
+	// policy runs the Section 5.3 rules on the measured load, with
+	// hysteresis across ticks.
+	policy *design.Policy
 	// ttl tracks the TTL the controller believes the node runs (BaseTTL
 	// until a SetTTL directive is acked).
 	ttl int
@@ -309,8 +306,9 @@ func New(opts Options) *Controller {
 	rng := stats.NewRNG(opts.Seed)
 	for i, cfg := range opts.Nodes {
 		st := &nodeState{
-			agent: newAgent(c, cfg, rng.Split(uint64(i)+1)),
-			ttl:   opts.BaseTTL,
+			agent:  newAgent(c, cfg, rng.Split(uint64(i)+1)),
+			policy: design.NewPolicy(opts.Thresholds, sustainTicks, cooldownTicks),
+			ttl:    opts.BaseTTL,
 		}
 		c.nodes[cfg.ID] = st
 		c.order = append(c.order, cfg.ID)
@@ -629,86 +627,75 @@ func (c *Controller) pickSurvivor(dead NodeConfig) *nodeState {
 	return nil
 }
 
-// decideLoad applies the hotspot and underload rules with hysteresis: a
-// signal must persist SustainTicks before the controller acts, and an acted
-// on node is left alone for CooldownTicks.
+// The controller's hysteresis: a hotspot or underload signal must persist
+// sustainTicks before the controller acts (one-scrape blips are ignored),
+// and an acted-on node is left alone for cooldownTicks so a directive's
+// effect is observed before the next one. Clients is not observable over
+// telemetry, so the policy assumes a promotable cluster of assumedClients
+// and rule I's shed arm stays reachable.
+const (
+	sustainTicks   = 2
+	cooldownTicks  = 3
+	assumedClients = 2
+)
+
+// decideLoad applies the hotspot and underload rules through each node's
+// policy.
 func (c *Controller) decideLoad() {
 	for _, id := range c.order {
 		c.mu.Lock()
 		st := c.nodes[id]
 		if st.dead || !st.haveLoad {
-			st.overTicks, st.underTicks = 0, 0
+			st.policy.Reset()
 			c.mu.Unlock()
 			continue
 		}
-		if st.cooldown > 0 {
-			st.cooldown--
-			c.mu.Unlock()
-			continue
-		}
-		// Clients is not directly observable over telemetry; assume a
-		// promotable cluster (>=2 clients) so rule I's shed arm is reachable.
-		adv := design.Advise(design.LocalState{
+		d := st.policy.Step(design.Observation{
 			Load: st.load, Limit: c.opts.Limit,
-			Clients: 2, TTL: st.ttl,
-		}, c.opts.Thresholds)
-		var over, under bool
-		switch {
-		case adv.PromotePartner || adv.SplitCluster || adv.Resign:
-			st.overTicks++
-			st.underTicks = 0
-			over = st.overTicks >= c.opts.SustainTicks
-		case adv.TryCoalesce:
-			st.underTicks++
-			st.overTicks = 0
-			under = st.underTicks >= c.opts.SustainTicks
-		default:
-			st.overTicks, st.underTicks = 0, 0
-		}
+			Clients: assumedClients, TTL: st.ttl,
+		})
 		load, ttl := st.load, st.ttl
 		c.mu.Unlock()
 
+		var ev EventType
+		var dir *gnutella.Directive
 		switch {
-		case over:
-			c.event(Event{Type: EvHotspot, Node: id,
-				Detail: fmt.Sprintf("load %s vs limit %s", load, c.opts.Limit)})
+		case d.Shed:
 			// Shed: cap the cluster at half baseline (split), and decay TTL
 			// one step to cut forwarded-query bandwidth (rule III under
 			// pressure).
-			d := &gnutella.Directive{
+			ev = EvHotspot
+			dir = &gnutella.Directive{
 				Action:     gnutella.ActionSplitCluster,
-				MaxClients: uint16(maxInt(1, c.opts.ClientCapacity/2)),
+				MaxClients: uint16(max(1, c.opts.ClientCapacity/2)),
 			}
 			if ttl > 1 {
-				d.TTL = uint8(ttl - 1)
+				dir.TTL = uint8(ttl - 1)
 			}
-			c.pushDirective(st, d, func(st *nodeState) {
-				st.cooldown = c.opts.CooldownTicks
-				st.overTicks = 0
-				if d.TTL > 0 {
-					st.ttl = int(d.TTL)
-				}
-			})
-		case under:
-			c.event(Event{Type: EvUnderload, Node: id,
-				Detail: fmt.Sprintf("load %s vs limit %s", load, c.opts.Limit)})
+		case d.Coalesce:
 			// Coalesce: open capacity to absorb another small cluster, and
 			// restore the baseline TTL if decayed.
-			d := &gnutella.Directive{
+			ev = EvUnderload
+			dir = &gnutella.Directive{
 				Action:     gnutella.ActionCoalesce,
 				MaxClients: uint16(2 * c.opts.ClientCapacity),
 			}
 			if ttl < c.opts.BaseTTL {
-				d.TTL = uint8(c.opts.BaseTTL)
+				dir.TTL = uint8(c.opts.BaseTTL)
 			}
-			c.pushDirective(st, d, func(st *nodeState) {
-				st.cooldown = c.opts.CooldownTicks
-				st.underTicks = 0
-				if d.TTL > 0 {
-					st.ttl = int(d.TTL)
-				}
-			})
+		default:
+			continue
 		}
+		c.event(Event{Type: ev, Node: id,
+			Detail: fmt.Sprintf("load %s vs limit %s", load, c.opts.Limit)})
+		// Only an acked directive starts the cooldown; a failed push leaves
+		// the signal standing, so the next tick fires it again.
+		c.pushDirective(st, dir, func(st *nodeState) {
+			st.policy.Acted()
+			if dir.TTL > 0 {
+				st.ttl = int(dir.TTL)
+			}
+		})
 	}
 }
 
@@ -745,13 +732,6 @@ func PredictedLoad(b metrics.ByClass, headroom float64) analysis.Load {
 		l.OutBps += b[cl][metrics.DirOut]
 	}
 	return l.Scale(headroom)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // newGUID returns a random descriptor id.

@@ -14,6 +14,7 @@ import (
 	"spnet/internal/gnutella"
 	"spnet/internal/metrics"
 	"spnet/internal/p2p"
+	"spnet/internal/stats"
 )
 
 // startNode spins up a p2p node with a control-plane identity.
@@ -50,7 +51,7 @@ func testOptions(nodes []NodeConfig) Options {
 		RPCTimeout:     300 * time.Millisecond,
 		DialTimeout:    300 * time.Millisecond,
 		PushAttempts:   2,
-		Backoff:        Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: -1},
+		Backoff:        stats.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: -1},
 		Seed:           7,
 		ClientCapacity: 5,
 		BaseTTL:        7,
@@ -347,8 +348,6 @@ func TestHotspotSplitsAndUnderloadCoalesces(t *testing.T) {
 	tel := newFakeTelemetry(t, 1e7) // ~2 Gbit/s measured at a 40ms scrape
 	opts := testOptions([]NodeConfig{{ID: "sp-0-0", Addr: n.Addr(), Telemetry: tel.addr}})
 	opts.Limit = analysis.Load{InBps: 1e6}
-	opts.SustainTicks = 2
-	opts.CooldownTicks = 2
 	c := New(opts)
 	c.Start()
 	defer c.Close()
@@ -383,13 +382,39 @@ func TestPredictedLoad(t *testing.T) {
 }
 
 func TestBackoffDelayGrowsAndCaps(t *testing.T) {
-	b := Backoff{Initial: 100 * time.Millisecond, Max: 400 * time.Millisecond, Multiplier: 2, Jitter: -1}
-	b.setDefaults()
-	got := []time.Duration{b.delay(0, nil), b.delay(1, nil), b.delay(2, nil), b.delay(5, nil)}
+	o := Options{Backoff: stats.Backoff{Initial: 100 * time.Millisecond, Max: 400 * time.Millisecond, Multiplier: 2, Jitter: -1}}
+	o.setDefaults()
+	b := o.Backoff
+	got := []time.Duration{b.Delay(0, nil), b.Delay(1, nil), b.Delay(2, nil), b.Delay(5, nil)}
 	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond}
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("delay(%d) = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestOptionsClampWireLimits checks that capacities and TTLs too large for
+// a directive's uint16/uint8 fields are clamped instead of wrapping, so a
+// promotion can never shrink a cluster.
+func TestOptionsClampWireLimits(t *testing.T) {
+	for _, c := range []struct {
+		capacity, ttl         int
+		wantCapacity, wantTTL int
+	}{
+		{0, 0, 100, 7},
+		{100, 7, 100, 7},
+		{MaxClientCapacity, MaxBaseTTL, MaxClientCapacity, MaxBaseTTL},
+		{40000, 300, MaxClientCapacity, MaxBaseTTL},
+	} {
+		o := Options{ClientCapacity: c.capacity, BaseTTL: c.ttl}
+		o.setDefaults()
+		if o.ClientCapacity != c.wantCapacity || o.BaseTTL != c.wantTTL {
+			t.Errorf("capacity %d, ttl %d: got %d, %d, want %d, %d",
+				c.capacity, c.ttl, o.ClientCapacity, o.BaseTTL, c.wantCapacity, c.wantTTL)
+		}
+		if promoted := uint16(2 * o.ClientCapacity); int(promoted) != 2*o.ClientCapacity {
+			t.Errorf("capacity %d: promotion wraps to %d", o.ClientCapacity, promoted)
 		}
 	}
 }

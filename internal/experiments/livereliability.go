@@ -183,7 +183,7 @@ func runLiveCell(lp *LiveParams, reg LiveRegime, k int, cellSeed uint64) (res li
 				Seed:              cellSeed + uint64(c*lp.ClientsPerCluster+i),
 				HeartbeatInterval: bridge.wallClamped(5, 20*time.Millisecond),
 				MaxAttempts:       2 * k, // one quick lap of the ranked list; the watchdog retries
-				Backoff: p2p.Backoff{
+				Backoff: stats.Backoff{
 					Initial: bridge.wallClamped(1, 5*time.Millisecond),
 					Max:     bridge.wallClamped(10, 25*time.Millisecond),
 				},

@@ -182,7 +182,7 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 			ScrapeInterval: bridge.wallClamped(p.ScrapeInterval, 50*time.Millisecond),
 			RPCTimeout:     500 * time.Millisecond,
 			DialTimeout:    500 * time.Millisecond,
-			Backoff:        control.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond},
+			Backoff:        stats.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond},
 			Seed:           p.Seed + 1,
 			ClientCapacity: share,
 			BaseTTL:        7,
@@ -213,7 +213,7 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 				Seed:              p.Seed + uint64(c*p.ClientsPerCluster+i),
 				HeartbeatInterval: bridge.wallClamped(5, 20*time.Millisecond),
 				MaxAttempts:       2 * p.Partners,
-				Backoff: p2p.Backoff{
+				Backoff: stats.Backoff{
 					Initial: bridge.wallClamped(1, 5*time.Millisecond),
 					Max:     bridge.wallClamped(10, 25*time.Millisecond),
 				},

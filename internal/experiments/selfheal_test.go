@@ -8,6 +8,7 @@ import (
 	"spnet/internal/control"
 	"spnet/internal/network"
 	"spnet/internal/p2p"
+	"spnet/internal/stats"
 )
 
 // tinySelfHealParams is a fast configuration: ~2 wall seconds per live arm.
@@ -131,7 +132,7 @@ func TestSelfHealControllerPartition(t *testing.T) {
 		ScrapeInterval: 50 * time.Millisecond,
 		RPCTimeout:     300 * time.Millisecond,
 		DialTimeout:    300 * time.Millisecond,
-		Backoff:        control.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond},
+		Backoff:        stats.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond},
 		Seed:           24,
 		ClientCapacity: 4,
 		BaseTTL:        7,

@@ -9,6 +9,7 @@ import (
 	"spnet/internal/metrics"
 	"spnet/internal/network"
 	"spnet/internal/p2p"
+	"spnet/internal/stats"
 	"spnet/internal/transfer"
 )
 
@@ -163,7 +164,7 @@ func (p *TransferBenchParams) fetchOpts() transfer.Options {
 		DialTimeout:      2 * time.Second,
 		HandshakeTimeout: 2 * time.Second,
 		ChunkTimeout:     5 * time.Second,
-		Backoff:          transfer.Backoff{Initial: 50 * time.Millisecond, Max: 500 * time.Millisecond, Multiplier: 2, Jitter: 0.25},
+		Backoff:          stats.Backoff{Initial: 50 * time.Millisecond, Max: 500 * time.Millisecond, Multiplier: 2, Jitter: 0.25},
 	}
 }
 

@@ -148,60 +148,6 @@ type SharedFile struct {
 	Title string
 }
 
-// Backoff parameterizes the client's reconnect loop: exponential growth with
-// multiplicative jitter.
-type Backoff struct {
-	// Initial is the delay before the second attempt (default 200ms); the
-	// first reconnect attempt is immediate.
-	Initial time.Duration
-	// Max caps the delay (default 5s).
-	Max time.Duration
-	// Multiplier grows the delay per attempt (default 2).
-	Multiplier float64
-	// Jitter spreads each delay uniformly over ±Jitter fraction
-	// (default 0.2). Jitter draws come from DialOptions.Seed, so a fixed
-	// seed yields a fixed delay sequence.
-	Jitter float64
-}
-
-func (b *Backoff) setDefaults() {
-	if b.Initial <= 0 {
-		b.Initial = 200 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 5 * time.Second
-	}
-	if b.Multiplier < 1 {
-		b.Multiplier = 2
-	}
-	if b.Jitter < 0 || b.Jitter >= 1 {
-		b.Jitter = 0.2
-	}
-}
-
-// delay returns the backoff before reconnect attempt `attempt` (0-based; 0
-// is immediate).
-func (b *Backoff) delay(attempt int, rng *stats.RNG) time.Duration {
-	if attempt <= 0 {
-		return 0
-	}
-	d := float64(b.Initial)
-	for i := 1; i < attempt; i++ {
-		d *= b.Multiplier
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
-	}
-	if b.Jitter > 0 {
-		d *= 1 + b.Jitter*(2*rng.Float64()-1)
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	return time.Duration(d)
-}
-
 // EventType classifies client connection-lifecycle events.
 type EventType int
 
@@ -265,8 +211,10 @@ type DialOptions struct {
 	HandshakeTimeout time.Duration
 	// WriteTimeout bounds each message write (default 30s).
 	WriteTimeout time.Duration
-	// Backoff shapes the reconnect delays.
-	Backoff Backoff
+	// Backoff shapes the reconnect delays (default 200ms..5s ×2 with 0.2
+	// jitter). The first reconnect attempt is immediate; attempt n waits the
+	// backoff's delay n-1. Jitter draws come from Seed.
+	Backoff stats.Backoff
 	// MaxAttempts bounds one failover cycle's reconnect attempts across the
 	// ranked list (default 8).
 	MaxAttempts int
@@ -305,6 +253,18 @@ type DialOptions struct {
 	Logf func(format string, args ...any)
 }
 
+// defaultBackoff fills the fields DialOptions.Backoff leaves unset.
+var defaultBackoff = stats.Backoff{Initial: 200 * time.Millisecond, Max: 5 * time.Second, Multiplier: 2, Jitter: 0.2}
+
+// reconnectDelay returns the wait before reconnect attempt (0-based): the
+// first attempt is immediate.
+func reconnectDelay(b stats.Backoff, attempt int, rng *stats.RNG) time.Duration {
+	if attempt <= 0 {
+		return 0
+	}
+	return b.Delay(attempt-1, rng)
+}
+
 func (o *DialOptions) setDefaults() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 10 * time.Second
@@ -315,7 +275,7 @@ func (o *DialOptions) setDefaults() {
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 30 * time.Second
 	}
-	o.Backoff.setDefaults()
+	o.Backoff = o.Backoff.WithDefaults(defaultBackoff)
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 8
 	}
@@ -594,7 +554,7 @@ func (cl *Client) failover() error {
 			next = order[attempt%len(order)]
 		}
 		addr := cl.opts.Addrs[next]
-		if d := cl.opts.Backoff.delay(attempt, cl.rng); d > 0 {
+		if d := reconnectDelay(cl.opts.Backoff, attempt, cl.rng); d > 0 {
 			cl.opts.OnEvent(Event{Type: EventBackoff, Addr: addr, Attempt: attempt, Delay: d})
 			select {
 			case <-time.After(d):

@@ -175,14 +175,35 @@ func (n *Node) runClient(c *conn) {
 // super-peer "will add this metadata to its index" (Section 3.2).
 func (n *Node) handleClientJoin(c *conn, j *gnutella.Join) {
 	n.metrics.ProcUnits.Add(float64(cost.ProcessJoin(len(j.Files))))
+	var replaced []*conn
+	defer func() {
+		for _, old := range replaced {
+			old.c.Close() // outside n.mu, like every connection close
+		}
+	}()
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.superseded(c) {
+		return
+	}
 	if c.owner < 0 {
 		c.owner = n.nextOwn
 		n.nextOwn++
 		n.clients[c.owner] = c
 	} else {
 		n.index.RemoveOwner(c.owner)
+	}
+	// A client that reconnects under the same servent GUID from the same
+	// host replaces its earlier connection, which this node may not have
+	// seen close yet: drop that connection's entries now, so no search
+	// finds the collection twice.
+	for o, g := range n.guids {
+		if old := n.clients[o]; g == j.ID && old != c && sameHost(old.c.RemoteAddr(), c.c.RemoteAddr()) {
+			n.index.RemoveOwner(o)
+			delete(n.clients, o)
+			delete(n.guids, o)
+			replaced = append(replaced, old)
+		}
 	}
 	n.guids[c.owner] = j.ID
 	for _, f := range j.Files {
@@ -193,6 +214,20 @@ func (n *Node) handleClientJoin(c *conn, j *gnutella.Join) {
 		// Owner ids are non-negative by construction, so Add cannot fail.
 		n.index.Add(index.DocID{Owner: c.owner, File: f.FileIndex}, terms)
 	}
+}
+
+// superseded reports whether the client's connection was replaced by a
+// re-join on a newer one; its late joins and updates are ignored. The
+// caller holds n.mu.
+func (n *Node) superseded(c *conn) bool {
+	return c.owner >= 0 && n.clients[c.owner] != c
+}
+
+// sameHost reports whether two remote addresses share a host.
+func sameHost(a, b net.Addr) bool {
+	ha, _, _ := net.SplitHostPort(a.String())
+	hb, _, _ := net.SplitHostPort(b.String())
+	return ha == hb
 }
 
 // dropClient removes a departed client's metadata ("when a client leaves,
@@ -251,6 +286,9 @@ func (n *Node) handleClientUpdate(c *conn, u *gnutella.Update) {
 	n.metrics.ProcUnits.Add(float64(cost.ProcessUpdateCost()))
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.superseded(c) {
+		return
+	}
 	doc := index.DocID{Owner: c.owner, File: u.File.FileIndex}
 	switch u.Op {
 	case gnutella.OpDelete:

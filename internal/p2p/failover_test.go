@@ -2,7 +2,9 @@ package p2p
 
 import (
 	"errors"
+	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,7 +41,7 @@ func (r *recorder) byType(t EventType) []Event {
 
 // fastBackoff keeps failover tests quick while still exercising the delay
 // machinery.
-var fastBackoff = Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
+var fastBackoff = stats.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
 
 // deadPort returns an address nothing listens on.
 func deadPort(t *testing.T) string {
@@ -258,12 +260,11 @@ func TestWatchdogReconnectsWithoutUserOps(t *testing.T) {
 // seed: same seed, same delays; different seed, different delays.
 func TestBackoffDeterministicSchedule(t *testing.T) {
 	seq := func(seed uint64) []time.Duration {
-		b := fastBackoff
-		b.setDefaults()
+		b := fastBackoff.WithDefaults(defaultBackoff)
 		rng := stats.NewRNG(seed)
 		var out []time.Duration
 		for i := 0; i < 8; i++ {
-			out = append(out, b.delay(i, rng))
+			out = append(out, reconnectDelay(b, i, rng))
 		}
 		return out
 	}
@@ -291,6 +292,25 @@ func TestBackoffDeterministicSchedule(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical delay sequences")
+	}
+}
+
+// TestBackoffZeroJitterMeansDefault checks that a client leaving Jitter
+// unset gets the documented 0.2: differently seeded clients must not
+// reconnect in lockstep.
+func TestBackoffZeroJitterMeansDefault(t *testing.T) {
+	seq := func(seed uint64) []time.Duration {
+		o := DialOptions{Backoff: stats.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond}}
+		o.setDefaults()
+		rng := stats.NewRNG(seed)
+		var out []time.Duration
+		for i := 1; i < 6; i++ {
+			out = append(out, reconnectDelay(o.Backoff, i, rng))
+		}
+		return out
+	}
+	if a, b := seq(1), seq(2); slices.Equal(a, b) {
+		t.Errorf("zero Jitter: seeds 1 and 2 give the same delays %v", a)
 	}
 }
 
@@ -346,8 +366,9 @@ func TestSearchDeadlineFailureRetiresConn(t *testing.T) {
 	}
 
 	// The poisoned connection was retired: the next search reconnects
-	// (plain conn this time) and succeeds with a working deadline.
-	waitFor(t, "re-joined after retirement", func() bool { return n.Stats().IndexedFiles == 1 })
+	// (plain conn this time) and succeeds with a working deadline. It runs
+	// at once, while the node may not yet have seen the retired connection
+	// close, and must still find the file only once.
 	r, err := cl.Search("dirge", 150*time.Millisecond)
 	if err != nil {
 		t.Fatalf("post-retirement search: %v", err)
@@ -355,8 +376,62 @@ func TestSearchDeadlineFailureRetiresConn(t *testing.T) {
 	if len(r) != 1 {
 		t.Fatalf("post-retirement results = %+v, want 1", r)
 	}
+	waitFor(t, "re-joined after retirement", func() bool { return n.Stats().IndexedFiles == 1 })
 	if cl.Reconnects() != 1 {
 		t.Errorf("reconnects = %d, want 1", cl.Reconnects())
+	}
+}
+
+// halfOpenConn keeps its socket open when the client retires it, so the
+// node goes on seeing a live connection, as when the close is lost.
+type halfOpenConn struct{ *deadlineFailConn }
+
+func (halfOpenConn) Close() error { return nil }
+
+// TestRejoinReplacesStaleConnection checks that a client reconnecting while
+// the node still holds its retired connection is indexed once: the re-join
+// under the same servent GUID replaces the stale connection and closes it.
+func TestRejoinReplacesStaleConnection(t *testing.T) {
+	n := startNode(t, Options{})
+	var fail atomic.Bool
+	var stale net.Conn
+	cl, err := DialClientOptions(DialOptions{
+		Addrs:   []string{n.Addr()},
+		Backoff: fastBackoff,
+		Seed:    5,
+		Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
+			c, err := net.DialTimeout(network, addr, timeout)
+			if err != nil || stale != nil {
+				return c, err
+			}
+			stale = c
+			t.Cleanup(func() { c.Close() })
+			return halfOpenConn{&deadlineFailConn{Conn: c, fail: &fail}}, nil
+		},
+	}, []SharedFile{{Index: 1, Title: "stale sonnet"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	waitFor(t, "joined", func() bool { return n.Stats().IndexedFiles == 1 })
+
+	fail.Store(true)
+	if _, err := cl.Search("sonnet", 150*time.Millisecond); err == nil {
+		t.Fatal("search with failing SetReadDeadline reported success")
+	}
+	r, err := cl.Search("sonnet", 150*time.Millisecond)
+	if err != nil {
+		t.Fatalf("post-retirement search: %v", err)
+	}
+	if len(r) != 1 {
+		t.Fatalf("post-retirement results = %+v, want 1", r)
+	}
+	if got := n.Stats().IndexedFiles; got != 1 {
+		t.Errorf("IndexedFiles = %d after the re-join, want 1", got)
+	}
+	stale.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, stale); err != nil {
+		t.Errorf("node kept the replaced connection open: %v", err)
 	}
 }
 

@@ -46,60 +46,38 @@ func (o *AdaptiveOptions) maxOutdegree() int {
 type adaptiveState struct {
 	lastIn, lastOut, lastProc float64 // counter snapshots at the last eval
 	lastEvalAt                float64
-	prevClients               int
-
-	// Response-horizon observation for rule III. The window accumulates
-	// across evaluations until enough of the cluster's own queries have
-	// been seen to trust the horizon ("if a super-peer rarely or never
-	// receives responses from beyond x hops away").
-	ttlWindowMaxHops int
-	ttlWindowQueries int
-
-	// Results-per-query observation, also used by the Appendix E probe.
-	resultsObserved float64
-	queriesObserved int
-
-	// Appendix E neighbor probe. Judgment is deferred until the probe has
-	// seen enough of the cluster's own queries to compare result rates.
-	probing        bool
-	probedNeighbor *clusterNode
-	resultsBefore  float64 // results/query before the probe
-	probeQueries   int
-	probeResults   float64
+	probed                    *clusterNode // the neighbor the policy is probing
+	policy                    *design.Policy
 }
+
+// The simulator acts on the first decision that signals a shed or
+// coalesce and holds no cooldown: each decision already spans a whole
+// evaluation interval.
+const (
+	simSustain  = 1
+	simCooldown = 0
+)
 
 // noteSourceQuery and noteSourceResponse feed the local observations the
 // adaptive rules depend on; they are called from the protocol path.
 func (s *Simulator) noteSourceQuery(c *clusterNode, localResults int) {
-	if c.adaptive == nil {
-		return
-	}
-	c.adaptive.queriesObserved++
-	c.adaptive.resultsObserved += float64(localResults)
-	c.adaptive.ttlWindowQueries++
-	if c.adaptive.probing {
-		c.adaptive.probeQueries++
-		c.adaptive.probeResults += float64(localResults)
+	if c.adaptive != nil {
+		c.adaptive.policy.NoteQuery(localResults)
 	}
 }
 
 func (s *Simulator) noteSourceResponse(c *clusterNode, msg respMsg) {
-	if c.adaptive == nil {
-		return
-	}
-	c.adaptive.resultsObserved += float64(msg.results)
-	if msg.hops > c.adaptive.ttlWindowMaxHops {
-		c.adaptive.ttlWindowMaxHops = msg.hops
-	}
-	if c.adaptive.probing {
-		c.adaptive.probeResults += float64(msg.results)
+	if c.adaptive != nil {
+		c.adaptive.policy.NoteResponse(msg.results, msg.hops)
 	}
 }
 
 // scheduleAdaptive installs the periodic local evaluation for one cluster
 // and, once per simulation, the new-client arrival process.
 func (s *Simulator) scheduleAdaptive(c *clusterNode) {
-	c.adaptive = &adaptiveState{prevClients: len(c.clients), lastEvalAt: s.sched.now}
+	c.adaptive = &adaptiveState{lastEvalAt: s.sched.now,
+		policy: design.NewPolicy(s.opts.Adaptive.Thresholds, simSustain, simCooldown)}
+	c.adaptive.policy.SetClients(len(c.clients))
 	var tick func()
 	tick = func() {
 		if c.dissolved() {
@@ -143,96 +121,48 @@ func (s *Simulator) observedLoad(c *clusterNode) analysis.Load {
 	return load
 }
 
-// adaptiveEvaluate runs one Section 5.3 decision round for a cluster.
+// adaptiveEvaluate runs one Section 5.3 decision round for a cluster and
+// carries out the policy's decision.
 func (s *Simulator) adaptiveEvaluate(c *clusterNode) {
 	st := c.adaptive
-	opts := s.opts.Adaptive
-	load := s.observedLoad(c)
+	d := st.policy.Step(design.Observation{
+		Load:      s.observedLoad(c),
+		Limit:     s.opts.Adaptive.Limit,
+		Clients:   len(c.clients),
+		Outdegree: len(c.neighbors),
+		TTL:       c.ttl,
+	})
+	c.acceptingClients = d.Accept
 
-	resultsPerQuery := 0.0
-	if st.queriesObserved > 0 {
-		resultsPerQuery = st.resultsObserved / float64(st.queriesObserved)
-	}
-
-	// Appendix E probe: judge the most recent neighbor addition only once
-	// enough queries have flowed to compare result rates fairly.
-	const probeMinQueries = 20
-	probeReady := st.probing && st.probeQueries >= probeMinQueries
-	probeGain := false
-	if probeReady {
-		probeGain = st.probeResults/float64(st.probeQueries) > st.resultsBefore*1.02
-	}
-	// Rule III needs a trustworthy horizon: only report the observed
-	// maximum response distance once enough of the cluster's own queries
-	// have been sampled, and let the TTL decay one hop per decision so a
-	// noisy window cannot collapse the reach.
-	const ttlMinQueries = 30
-	maxRespHops := 0
-	if st.ttlWindowQueries >= ttlMinQueries {
-		maxRespHops = st.ttlWindowMaxHops
-	}
-	state := design.LocalState{
-		Load:                       load,
-		Limit:                      opts.Limit,
-		Clients:                    len(c.clients),
-		Outdegree:                  len(c.neighbors),
-		TTL:                        c.ttl,
-		MaxRespHops:                maxRespHops,
-		ClusterGrowing:             len(c.clients) > st.prevClients,
-		ProbedNeighbor:             probeReady,
-		GainedResultsAfterNeighbor: probeGain,
-	}
-	adv := design.Advise(state, opts.Thresholds)
-
-	c.acceptingClients = adv.AcceptClients
-
-	if adv.DropProbedNeighbor && st.probedNeighbor != nil && !st.probedNeighbor.dissolved() {
-		s.removeEdge(c, st.probedNeighbor)
-	}
-	if probeReady || adv.DropProbedNeighbor {
-		st.probing = false
-		st.probedNeighbor = nil
-		st.probeQueries = 0
-		st.probeResults = 0
+	if d.DropProbed && !st.probed.dissolved() {
+		s.removeEdge(c, st.probed)
 	}
 
+	acted := true
 	switch {
-	case adv.PromotePartner && len(c.partners) == 1 && len(c.clients) >= 2:
+	case d.Shed && len(c.partners) == 1 && len(c.clients) >= 2:
 		s.promotePartner(c)
-	case adv.SplitCluster && len(c.partners) > 1 && len(c.clients) >= 4:
+	case d.Shed && len(c.partners) > 1 && len(c.clients) >= 4:
 		// Already redundant and still overloaded: split instead.
 		s.splitCluster(c)
-	case adv.TryCoalesce:
+	case d.Coalesce:
 		s.tryCoalesce(c)
+	default:
+		acted = false
+	}
+	if acted {
+		st.policy.Acted()
+		st.policy.SetClients(len(c.clients))
 	}
 
-	if adv.AddNeighbor && !st.probing && len(c.neighbors) < opts.maxOutdegree() {
+	if d.AddNeighbor && len(c.neighbors) < s.opts.Adaptive.maxOutdegree() {
 		if nb := s.randomNonNeighbor(c); nb != nil {
 			s.addEdge(c, nb)
-			st.probing = true
-			st.probedNeighbor = nb
-			st.resultsBefore = resultsPerQuery
-			st.probeQueries = 0
-			st.probeResults = 0
+			st.probed = nb
+			st.policy.NeighborAdded()
 		}
 	}
-
-	if adv.NewTTL < c.ttl {
-		c.ttl--
-		if c.ttl < adv.NewTTL {
-			c.ttl = adv.NewTTL
-		}
-		st.ttlWindowMaxHops = 0
-		st.ttlWindowQueries = 0
-	} else if st.ttlWindowQueries >= ttlMinQueries {
-		// Horizon checked and the TTL held: start a fresh window.
-		st.ttlWindowMaxHops = 0
-		st.ttlWindowQueries = 0
-	}
-
-	st.prevClients = len(c.clients)
-	st.resultsObserved = 0
-	st.queriesObserved = 0
+	c.ttl = d.NewTTL
 }
 
 // newClientArrival models the bootstrap path: a fresh client asks a random

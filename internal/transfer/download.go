@@ -35,30 +35,6 @@ type Source struct {
 	FileIndex uint32
 }
 
-// Backoff shapes seeded exponential redial backoff, mirroring the supervised
-// client's failover policy.
-type Backoff struct {
-	Initial    time.Duration
-	Max        time.Duration
-	Multiplier float64
-	Jitter     float64 // ±fraction of the base delay
-}
-
-func (b Backoff) delay(attempt int, rng *stats.RNG) time.Duration {
-	d := float64(b.Initial)
-	for i := 0; i < attempt; i++ {
-		d *= b.Multiplier
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
-	}
-	if b.Jitter > 0 {
-		d *= 1 + b.Jitter*(2*rng.Float64()-1)
-	}
-	return time.Duration(d)
-}
-
 // Options shapes one download.
 type Options struct {
 	// Window is the per-source outstanding-chunk window: how many pipelined
@@ -79,7 +55,7 @@ type Options struct {
 	// Default 15s.
 	ChunkTimeout time.Duration
 	// Backoff paces redials. Default 50ms..2s ×2 with 0.25 jitter.
-	Backoff Backoff
+	Backoff stats.Backoff
 	// Seed drives the per-source jitter streams; equal seeds replay equal
 	// backoff schedules.
 	Seed uint64
@@ -126,9 +102,8 @@ func (o *Options) setDefaults() {
 	if o.ChunkTimeout <= 0 {
 		o.ChunkTimeout = 15 * time.Second
 	}
-	if o.Backoff.Initial <= 0 {
-		o.Backoff = Backoff{Initial: 50 * time.Millisecond, Max: 2 * time.Second, Multiplier: 2, Jitter: 0.25}
-	}
+	o.Backoff = o.Backoff.WithDefaults(stats.Backoff{
+		Initial: 50 * time.Millisecond, Max: 2 * time.Second, Multiplier: 2, Jitter: 0.25})
 	if o.DropScore <= 0 {
 		o.DropScore = 0.2
 	}
@@ -459,7 +434,7 @@ func (d *download) runSource(idx int) {
 			d.mu.Lock()
 			d.srcStats[idx].Redials++
 			d.mu.Unlock()
-			time.Sleep(d.opts.Backoff.delay(redials, rng))
+			time.Sleep(d.opts.Backoff.Delay(redials, rng))
 			continue
 		}
 		err = d.stream(idx, conn)
@@ -483,7 +458,7 @@ func (d *download) runSource(idx int) {
 		d.mu.Lock()
 		d.srcStats[idx].Redials++
 		d.mu.Unlock()
-		time.Sleep(d.opts.Backoff.delay(redials, rng))
+		time.Sleep(d.opts.Backoff.Delay(redials, rng))
 	}
 }
 

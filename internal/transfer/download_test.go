@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"spnet/internal/p2p"
+	"spnet/internal/stats"
 	"spnet/internal/transfer"
 	"spnet/internal/trust"
 )
@@ -60,7 +61,7 @@ func fastOpts() transfer.Options {
 		Window: 4, Redials: 2, Seed: 1,
 		DialTimeout: time.Second, HandshakeTimeout: time.Second,
 		ChunkTimeout: 2 * time.Second,
-		Backoff:      transfer.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond, Multiplier: 2, Jitter: 0.25},
+		Backoff:      stats.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond, Multiplier: 2, Jitter: 0.25},
 	}
 }
 

@@ -353,7 +353,7 @@ type (
 	TransferFile         = transfer.File
 	TransferSource       = transfer.Source
 	TransferOptions      = transfer.Options
-	TransferBackoff      = transfer.Backoff
+	TransferBackoff      = stats.Backoff
 	TransferResult       = transfer.Result
 	TransferProgress     = transfer.Progress
 	TransferSourceStats  = transfer.SourceStats
@@ -427,7 +427,7 @@ func RunTransferBench(p TransferBenchParams) (*ExperimentReport, error) {
 // after failover, and an event stream for observing recovery.
 type (
 	ClientDialOptions = p2p.DialOptions
-	ClientBackoff     = p2p.Backoff
+	ClientBackoff     = stats.Backoff
 	ClientEvent       = p2p.Event
 	ClientEventType   = p2p.EventType
 )
@@ -527,7 +527,7 @@ type (
 	FleetEvent          = control.Event
 	FleetEventType      = control.EventType
 	FleetNodeStatus     = control.NodeStatus
-	FleetControlBackoff = control.Backoff
+	FleetControlBackoff = stats.Backoff
 )
 
 // Fleet controller events, in rough lifecycle order.
@@ -543,6 +543,13 @@ const (
 	FleetPushFailed   = control.EvPushFailed
 	FleetHotspot      = control.EvHotspot
 	FleetUnderload    = control.EvUnderload
+)
+
+// The largest FleetOptions.ClientCapacity and BaseTTL a directive can
+// carry; larger values are clamped.
+const (
+	FleetMaxClientCapacity = control.MaxClientCapacity
+	FleetMaxBaseTTL        = control.MaxBaseTTL
 )
 
 // NewFleetController builds a controller over the given fleet; call Start to
